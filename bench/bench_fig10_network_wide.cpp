@@ -83,7 +83,6 @@ double run_scenario(const char* which, Mode mode,
     }
     case Mode::kTangoType: {
       sched::TangoSchedulerOptions options;
-      options.reorder_types = true;
       options.sort_priorities = false;
       sched::BasicTangoScheduler sched(costs, options);
       return sched::execute(tb.net, dag, sched).makespan.sec();

@@ -4,7 +4,8 @@
 //
 // Order matters because deletions shrink the TCAM before subsequent adds
 // shift fewer entries (and type-grouped runs batch in the agent), so
-// del-first permutations win — the effect Algorithm 3's patterns score.
+// del-first permutations win — why the Tango scheduler always issues DEL
+// first, then MOD, then ADD.
 #include "bench/bench_util.h"
 #include "switchsim/profiles.h"
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "chaos/harness.h"
 #include "common/rng.h"
 #include "net/network.h"
 #include "scheduler/reconciler.h"
@@ -90,31 +91,16 @@ sched::RequestDag make_dag(service::TenantId t, std::uint32_t lane,
   return dag;
 }
 
-// --- fingerprint (same FNV-1a fold as harness.cpp) --------------------------
+// --- fingerprint ------------------------------------------------------------
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-void fold(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
-void fold_str(std::uint64_t& h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  fold(h, s.size());
-}
+constexpr auto& fold = fnv_fold;
+constexpr auto& fold_str = fnv_fold_str;
 
 std::uint64_t fingerprint_of(
     const TenantChaosResult& r,
     const std::map<std::uint64_t, IntentExpect>& intents,
     const std::map<SwitchId, sched::TableImage>& tables) {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnvOffsetBasis;
   const auto& rep = r.report;
   fold(h, rep.submitted);
   fold(h, rep.admitted);

@@ -351,7 +351,11 @@ void ControlChannel::handle(const of::Message& msg) {
   }
 
   if (const auto* fsr = std::get_if<of::FlowStatsRequest>(&msg.body)) {
-    reply(of::Message{msg.xid, switch_.flow_stats(fsr->match)}, now + micros(500));
+    // A table of more than ~680 rules overflows one frame: the reply goes
+    // out in parts, flagged OFPSF_REPLY_MORE until the last.
+    for (auto& part : of::split_flow_stats(switch_.flow_stats(fsr->match))) {
+      reply(of::Message{msg.xid, std::move(part)}, now + micros(500));
+    }
     return;
   }
 

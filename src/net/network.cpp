@@ -356,11 +356,31 @@ Reply request_reply(Network& net, sim::EventQueue& events,
 
 }  // namespace
 
+void Network::join_flow_stats(std::uint32_t xid, of::FlowStatsReply& out,
+                              bool& done) {
+  reply_cbs_[xid] = [this, xid, &out, &done](const of::Message& msg) {
+    const auto* part = std::get_if<of::FlowStatsReply>(&msg.body);
+    if (part == nullptr) return;
+    out.entries.insert(out.entries.end(), part->entries.begin(),
+                       part->entries.end());
+    if ((part->flags & of::kStatsReplyMore) != 0) {
+      // Reply handlers are one-shot: re-arm for the next part.
+      join_flow_stats(xid, out, done);
+      return;
+    }
+    done = true;
+  };
+}
+
 of::FlowStatsReply Network::flow_stats_sync(SwitchId id, const of::Match& filter) {
-  of::FlowStatsRequest req;
-  req.match = filter;
-  return request_reply<of::FlowStatsReply>(*this, events_, reply_cbs_, next_xid(),
-                                           *endpoint(id).channel, std::move(req));
+  auto reply = try_flow_stats(id, filter);
+  if (!reply.has_value()) {
+    // Request or reply lost to faults: return an empty reply rather than
+    // wedging the (sequential) caller.
+    log::warn("network: stats request lost, returning empty reply");
+    return {};
+  }
+  return std::move(*reply);
 }
 
 std::optional<of::FlowStatsReply> Network::try_flow_stats(SwitchId id,
@@ -369,12 +389,7 @@ std::optional<of::FlowStatsReply> Network::try_flow_stats(SwitchId id,
   const std::uint32_t xid = next_xid();
   bool done = false;
   of::FlowStatsReply out;
-  reply_cbs_[xid] = [&](const of::Message& msg) {
-    if (const auto* typed = std::get_if<of::FlowStatsReply>(&msg.body)) {
-      out = *typed;
-      done = true;
-    }
-  };
+  join_flow_stats(xid, out, done);
   of::FlowStatsRequest req;
   req.match = filter;
   endpoint(id).channel->send(of::Message{xid, std::move(req)});

@@ -153,12 +153,16 @@ class Network {
   EpochClaimResult claim_epoch_sync(SwitchId id, std::uint32_t epoch,
                                     SimDuration timeout = {});
 
-  /// Fetch flow statistics matching `filter` (synchronous).
+  /// Fetch flow statistics matching `filter` (synchronous). A reply too
+  /// large for one frame arrives in parts, which are joined in order.
   of::FlowStatsReply flow_stats_sync(SwitchId id, const of::Match& filter);
 
   /// Loss-aware flow-stats readback: nullopt when the request or its reply
   /// vanished within `timeout` (zero = wait until the queue drains) — so a
   /// reconciler can distinguish "table is empty" from "message lost".
+  /// Multi-part replies are joined as in flow_stats_sync. OpenFlow 1.0
+  /// parts carry no sequence number, so a fault injector that drops,
+  /// duplicates or reorders one part of a multi-part reply goes unnoticed.
   std::optional<of::FlowStatsReply> try_flow_stats(SwitchId id,
                                                    const of::Match& filter,
                                                    SimDuration timeout = {});
@@ -246,6 +250,9 @@ class Network {
   /// Step the queue until `done`, the queue drains, or (if timeout != 0)
   /// the next event lies beyond now + timeout. Returns final `done`.
   bool run_until_done(const bool& done, SimDuration timeout);
+  /// Collect `xid`'s flow-stats reply into `out`, joining the parts of a
+  /// multi-part reply until one arrives without kStatsReplyMore (`done`).
+  void join_flow_stats(std::uint32_t xid, of::FlowStatsReply& out, bool& done);
 
   sim::EventQueue events_;
   Topology topo_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "common/buffer.h"
 
@@ -309,7 +311,7 @@ struct BodyEncodeVisitor {
   }
   void operator()(const FlowStatsReply& m) const {
     w.u16(static_cast<std::uint16_t>(StatsType::kFlow));
-    w.u16(0);
+    w.u16(m.flags);
     for (const auto& e : m.entries) {
       w.u16(static_cast<std::uint16_t>(88 + actions_wire_size(e.actions)));
       w.u8(e.table_id);
@@ -663,10 +665,11 @@ Result<MessageBody> decode_body(MsgType type, BufReader& r, std::size_t body_len
     case MsgType::kStatsReply: {
       if (body_len < 4) return Error{"stats_reply body too short"};
       const auto stats_type = static_cast<StatsType>(r.u16());
-      r.skip(2);
+      const std::uint16_t flags = r.u16();
       std::size_t rest = body_len - 4;
       if (stats_type == StatsType::kFlow) {
         FlowStatsReply m;
+        m.flags = flags;
         while (rest > 0) {
           if (rest < 88) return Error{"flow_stats entry too short"};
           const std::size_t entry_len = r.u16();
@@ -782,6 +785,10 @@ void encode_into(const Message& msg, std::vector<std::uint8_t>& out) {
   w.u16(0);  // length: patched below
   w.u32(msg.xid);
   std::visit(BodyEncodeVisitor{w}, msg.body);
+  if (w.size() > kMaxFrameLen) {
+    throw std::length_error("openflow frame of " + std::to_string(w.size()) +
+                            " bytes overflows the 16-bit length field");
+  }
   w.patch_u16(2, static_cast<std::uint16_t>(w.size()));
 }
 
@@ -800,6 +807,23 @@ std::size_t encode_batch(std::span<const Message> msgs,
   out.reserve(before + total);
   for (const auto& m : msgs) encode_into(m, out);
   return out.size() - before;
+}
+
+std::vector<FlowStatsReply> split_flow_stats(FlowStatsReply reply) {
+  constexpr std::size_t kPartOverhead = kHeaderLen + 4;
+  std::vector<FlowStatsReply> parts(1);
+  std::size_t size = kPartOverhead;
+  for (auto& e : reply.entries) {
+    const std::size_t len = 88 + actions_wire_size(e.actions);
+    if (size + len > kMaxFrameLen) {
+      parts.back().flags = kStatsReplyMore;
+      parts.emplace_back();
+      size = kPartOverhead;
+    }
+    parts.back().entries.push_back(std::move(e));
+    size += len;
+  }
+  return parts;
 }
 
 std::size_t wire_size(const Message& msg) {

@@ -1,6 +1,7 @@
 // OpenFlow 1.0 binary codec: Message <-> network-byte-order wire frames.
 //
-// encode() always produces a frame whose length field equals the byte count;
+// encode() always produces a frame whose length field equals the byte count
+// (and throws std::length_error for a message too large for that field);
 // decode() validates version, length, and bounds and returns an error string
 // for malformed input instead of crashing. FrameAssembler reassembles
 // messages from a byte stream (frames may arrive split or coalesced).
@@ -28,6 +29,11 @@ std::size_t encode_batch(std::span<const Message> msgs,
                          std::vector<std::uint8_t>& out);
 
 Result<Message> decode(std::span<const std::uint8_t> frame);
+
+/// Split a flow-stats reply into parts whose frames each fit kMaxFrameLen,
+/// keeping entry order; every part but the last carries kStatsReplyMore.
+/// A reply that already fits comes back as the only part.
+std::vector<FlowStatsReply> split_flow_stats(FlowStatsReply reply);
 
 /// Standalone ofp_match wire form (40 bytes) — used by tooling that stores
 /// matches outside full messages (e.g. trace files).

@@ -11,6 +11,8 @@ namespace tango::of {
 
 inline constexpr std::uint8_t kVersion = 0x01;  // OpenFlow 1.0
 inline constexpr std::size_t kHeaderLen = 8;
+/// Largest frame the 16-bit ofp_header length field can describe.
+inline constexpr std::size_t kMaxFrameLen = 0xffff;
 
 enum class MsgType : std::uint8_t {
   kHello = 0,
@@ -79,6 +81,9 @@ enum class StatsType : std::uint16_t {
   kTable = 3,
   kPort = 4,
 };
+
+/// ofp_stats_reply flag: more parts of this reply follow (OFPSF_REPLY_MORE).
+inline constexpr std::uint16_t kStatsReplyMore = 0x0001;
 
 // Reserved port numbers (ofp_port).
 inline constexpr std::uint16_t kPortMax = 0xff00;

@@ -139,6 +139,8 @@ struct FlowStatsEntry {
 
 struct FlowStatsReply {
   std::vector<FlowStatsEntry> entries;
+  /// kStatsReplyMore on every part of a multi-part reply but the last.
+  std::uint16_t flags = 0;
   bool operator==(const FlowStatsReply&) const = default;
 };
 

@@ -66,6 +66,20 @@ void report_fault_deltas(net::Network& network,
   }
 }
 
+/// A dependency cycle can never drain: issue nothing, fail every request.
+ExecutionReport refuse_cyclic(const RequestDag& dag,
+                              const ExecutorOptions& options) {
+  log::warn("executor: request DAG of " + std::to_string(dag.size()) +
+            " requests has a dependency cycle; issuing nothing");
+  ExecutionReport report;
+  report.cyclic_dag = true;
+  report.failed_requests = dag.size();
+  if (options.on_failed) {
+    for (std::size_t id = 0; id < dag.size(); ++id) options.on_failed(id);
+  }
+  return report;
+}
+
 }  // namespace
 
 namespace detail {
@@ -411,20 +425,8 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
         const SimTime arrival = obs_post[id] + network.control_latency();
         const SimTime started = std::max(obs_busy[id], arrival);
         const double actual_ms = (at - started).ms();
-        double predicted_ms = options.default_op_estimate.ms();
-        switch (req.type) {
-          case RequestType::kAdd:
-            predicted_ms = hint->second.add_ascending_ms;
-            break;
-          case RequestType::kMod:
-            predicted_ms = hint->second.mod_ms;
-            break;
-          case RequestType::kDel:
-            predicted_ms = hint->second.del_ms;
-            break;
-        }
         options.on_cost_observation(req.location, req.type, actual_ms,
-                                    predicted_ms);
+                                    op_cost_ms(hint->second, req.type));
       }
     }
     if (accepted && options.rtt != nullptr && attempts[id] == 1) {
@@ -646,15 +648,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
         const auto& req = dag.request(rid);
         const auto it = options.cost_hints.find(req.location);
         if (it == options.cost_hints.end()) return options.default_op_estimate;
-        switch (req.type) {
-          case RequestType::kAdd:
-            return millis(it->second.add_ascending_ms);
-          case RequestType::kMod:
-            return millis(it->second.mod_ms);
-          case RequestType::kDel:
-            return millis(it->second.del_ms);
-        }
-        return options.default_op_estimate;
+        return millis(op_cost_ms(it->second, req.type));
       };
       auto est_finish = [&](std::size_t rid) {
         const SimTime backlog =
@@ -698,7 +692,7 @@ ExecutionReport execute(net::Network& network, const RequestDag& dag,
                         UpdateScheduler& scheduler,
                         const ExecutorOptions& options) {
   if (dag.size() == 0) return {};
-  assert(dag.is_acyclic());
+  if (!dag.is_acyclic()) return refuse_cyclic(dag, options);
 
   auto st =
       std::make_shared<detail::ExecState>(network, dag, scheduler, options);
@@ -717,6 +711,7 @@ bool AsyncExecution::done() const {
 }
 
 const ExecutionReport& AsyncExecution::finish() {
+  if (refused_.has_value()) return *refused_;
   assert(state_ != nullptr);
   state_->finish();
   return state_->report;
@@ -735,7 +730,10 @@ AsyncExecution execute_async(net::Network& network, const RequestDag& dag,
                              const ExecutorOptions& options) {
   AsyncExecution handle;
   if (dag.size() == 0) return handle;
-  assert(dag.is_acyclic());
+  if (!dag.is_acyclic()) {
+    handle.refused_ = refuse_cyclic(dag, options);
+    return handle;
+  }
 
   auto st =
       std::make_shared<detail::ExecState>(network, dag, scheduler, options);

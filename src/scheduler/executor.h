@@ -24,6 +24,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "net/network.h"
@@ -152,6 +153,9 @@ struct ExecutionReport {
   std::size_t lost_requests = 0;
   /// Switches that stopped answering ECHO probes.
   std::set<SwitchId> failed_switches;
+  /// The DAG has a dependency cycle, so it can never drain: nothing was
+  /// issued and every request is counted in failed_requests.
+  bool cyclic_dag = false;
 
   // --- fault-injector activity during this execution -----------------------
   // Deltas of each touched switch's FaultStats across the run (all zero when
@@ -202,7 +206,9 @@ class AsyncExecution {
   /// on an empty or finished handle.
   void abort();
 
-  [[nodiscard]] bool valid() const { return state_ != nullptr; }
+  [[nodiscard]] bool valid() const {
+    return state_ != nullptr || refused_.has_value();
+  }
 
  private:
   friend AsyncExecution execute_async(net::Network& network,
@@ -210,12 +216,16 @@ class AsyncExecution {
                                       UpdateScheduler& scheduler,
                                       const ExecutorOptions& options);
   std::shared_ptr<detail::ExecState> state_;
+  /// The report of a DAG refused before dispatch (cyclic_dag).
+  std::optional<ExecutionReport> refused_;
 };
 
 /// Start executing `dag` without pumping the event queue to completion —
 /// the building block for dispatching independent updates concurrently.
 /// `dag` and `scheduler` must outlive the returned handle's finish().
-/// execute() is exactly execute_async + pump-until-done + finish.
+/// execute() is exactly execute_async + pump-until-done + finish. A cyclic
+/// DAG is refused by both: nothing is issued, on_failed fires for every
+/// request, and the report (from finish()) has cyclic_dag set.
 AsyncExecution execute_async(net::Network& network, const RequestDag& dag,
                              UpdateScheduler& scheduler,
                              const ExecutorOptions& options = {});

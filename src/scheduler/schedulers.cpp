@@ -1,7 +1,6 @@
 #include "scheduler/schedulers.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace tango::sched {
 
@@ -14,122 +13,59 @@ std::vector<std::size_t> DionysusScheduler::order(const RequestDag& dag,
   return ready;
 }
 
-BasicTangoScheduler::BasicTangoScheduler(
-    std::map<SwitchId, core::OpCostEstimate> costs, TangoSchedulerOptions options)
-    : costs_(std::move(costs)), options_(options) {
-  using RT = RequestType;
-  // The candidate rewrite patterns from the TangoPatterns table of
-  // Algorithm 3, extended with the remaining type permutations.
-  patterns_ = {
-      {"DEL MOD ASCEND_ADD", {RT::kDel, RT::kMod, RT::kAdd}, true},
-      {"DEL MOD DESCEND_ADD", {RT::kDel, RT::kMod, RT::kAdd}, false},
-      {"DEL ASCEND_ADD MOD", {RT::kDel, RT::kAdd, RT::kMod}, true},
-      {"MOD DEL ASCEND_ADD", {RT::kMod, RT::kDel, RT::kAdd}, true},
-      {"MOD ASCEND_ADD DEL", {RT::kMod, RT::kAdd, RT::kDel}, true},
-      {"ASCEND_ADD DEL MOD", {RT::kAdd, RT::kDel, RT::kMod}, true},
-      {"ASCEND_ADD MOD DEL", {RT::kAdd, RT::kMod, RT::kDel}, true},
-  };
-}
-
-double BasicTangoScheduler::op_cost_ms(SwitchId sw, RequestType type,
-                                       bool adds_ascending) const {
-  const auto it = costs_.find(sw);
-  if (it == costs_.end()) {
-    // Unprofiled switch: neutral weights (the paper's static fallback).
-    switch (type) {
-      case RequestType::kDel: return 10;
-      case RequestType::kMod: return 1;
-      case RequestType::kAdd: return adds_ascending ? 20 : 40;
-    }
-  }
-  const auto& c = it->second;
+double op_cost_ms(const core::OpCostEstimate& costs, RequestType type,
+                  bool adds_ascending) {
   switch (type) {
-    case RequestType::kDel: return c.del_ms;
-    case RequestType::kMod: return c.mod_ms;
-    case RequestType::kAdd: return adds_ascending ? c.add_ascending_ms : c.add_descending_ms;
+    case RequestType::kDel: return costs.del_ms;
+    case RequestType::kMod: return costs.mod_ms;
+    case RequestType::kAdd:
+      return adds_ascending ? costs.add_ascending_ms : costs.add_descending_ms;
   }
   return 1;
 }
 
-double BasicTangoScheduler::pattern_score(const RequestDag& dag,
-                                          const std::vector<std::size_t>& ready,
-                                          const OrderingPattern& pattern) const {
-  // Score = negated estimated cost; per-switch queues run in parallel, so
-  // the estimate is the max over switches of their serial cost.
-  std::map<SwitchId, double> per_switch;
-  for (std::size_t id : ready) {
-    const auto& req = dag.request(id);
-    per_switch[req.location] +=
-        op_cost_ms(req.location, req.type, pattern.adds_ascending);
-  }
-  double worst = 0;
-  for (const auto& [sw, ms] : per_switch) worst = std::max(worst, ms);
-  return -worst;
+namespace {
+
+/// Unprofiled switch: neutral weights (the paper's static fallback).
+constexpr core::OpCostEstimate kStaticWeights{.add_ascending_ms = 20,
+                                              .add_descending_ms = 40,
+                                              .mod_ms = 1,
+                                              .del_ms = 10};
+
+/// Fixed issue order of request types: DEL, then MOD, then ADD.
+int type_rank(RequestType t) {
+  return t == RequestType::kDel ? 0 : t == RequestType::kMod ? 1 : 2;
 }
 
-std::vector<std::size_t> BasicTangoScheduler::apply_pattern(
-    const RequestDag& dag, std::vector<std::size_t> ready,
-    const OrderingPattern& pattern) const {
-  auto type_rank = [&](RequestType t) {
-    for (int i = 0; i < 3; ++i) {
-      if (pattern.sequence[i] == t) return i;
-    }
-    return 3;
-  };
-  std::stable_sort(ready.begin(), ready.end(), [&](std::size_t a, std::size_t b) {
-    const auto& ra = dag.request(a);
-    const auto& rb = dag.request(b);
-    const int ta = type_rank(ra.type);
-    const int tb = type_rank(rb.type);
-    if (ta != tb) return ta < tb;
-    if (options_.sort_priorities && ra.type == RequestType::kAdd &&
-        ra.priority.has_value() && rb.priority.has_value() &&
-        *ra.priority != *rb.priority) {
-      return pattern.adds_ascending ? *ra.priority < *rb.priority
-                                    : *ra.priority > *rb.priority;
-    }
-    return false;
-  });
-  return ready;
-}
+}  // namespace
+
+BasicTangoScheduler::BasicTangoScheduler(
+    std::map<SwitchId, core::OpCostEstimate> costs, TangoSchedulerOptions options)
+    : costs_(std::move(costs)), options_(options) {}
 
 std::vector<std::size_t> BasicTangoScheduler::order(const RequestDag& dag,
                                                     std::vector<std::size_t> ready) {
-  if (!options_.reorder_types) {
-    // Priority sorting only.
-    if (options_.sort_priorities) {
-      std::stable_sort(ready.begin(), ready.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         const auto& ra = dag.request(a);
-                         const auto& rb = dag.request(b);
-                         if (ra.type != RequestType::kAdd ||
-                             rb.type != RequestType::kAdd) {
-                           return false;
-                         }
-                         if (!ra.priority || !rb.priority) return false;
-                         return *ra.priority < *rb.priority;
-                       });
+  // orderingTangoOracle: descending adds only when measured strictly
+  // cheaper; a tie keeps ascending.
+  const Makespans est = makespans_ms(dag, ready);
+  const bool adds_ascending = !(est.descending < est.ascending);
+  std::stable_sort(ready.begin(), ready.end(), [&](std::size_t a, std::size_t b) {
+    const auto& ra = dag.request(a);
+    const auto& rb = dag.request(b);
+    if (ra.type != rb.type) return type_rank(ra.type) < type_rank(rb.type);
+    if (options_.sort_priorities && ra.type == RequestType::kAdd &&
+        ra.priority.has_value() && rb.priority.has_value() &&
+        *ra.priority != *rb.priority) {
+      return adds_ascending ? *ra.priority < *rb.priority
+                            : *ra.priority > *rb.priority;
     }
-    return ready;
-  }
-
-  // orderingTangoOracle: pick the best-scoring pattern.
-  double best_score = -1e300;
-  const OrderingPattern* best = nullptr;
-  for (const auto& pattern : patterns_) {
-    const double score = pattern_score(dag, ready, pattern);
-    if (score > best_score) {
-      best_score = score;
-      best = &pattern;
-    }
-  }
-  assert(best != nullptr);
-  auto ordered = apply_pattern(dag, std::move(ready), *best);
+    return false;
+  });
 
   if (options_.deadline_first) {
-    // Deadline-carrying requests jump the pattern order, earliest first;
-    // the pattern still governs everything behind them.
-    std::stable_sort(ordered.begin(), ordered.end(),
+    // Deadline-carrying requests jump the type order, earliest first; the
+    // type order still governs everything behind them.
+    std::stable_sort(ready.begin(), ready.end(),
                      [&](std::size_t a, std::size_t b) {
                        const auto& da = dag.request(a).deadline;
                        const auto& db = dag.request(b).deadline;
@@ -139,16 +75,16 @@ std::vector<std::size_t> BasicTangoScheduler::order(const RequestDag& dag,
                      });
   }
 
-  if (options_.prefix_lookahead && ordered.size() > 4) {
+  if (options_.prefix_lookahead && ready.size() > 4) {
     // Non-greedy batching extension: compare "issue everything" against
     // "issue a prefix, then the batch its completion unlocks". We estimate
     // with serial per-switch costs; the executor re-invokes order() when
     // the prefix completes, so truncating here is sufficient.
-    const double full_cost = estimate_makespan_ms(dag, ordered);
-    for (const std::size_t prefix_len : {ordered.size() / 4, ordered.size() / 2}) {
+    const double full_cost = estimate_makespan_ms(dag, ready);
+    for (const std::size_t prefix_len : {ready.size() / 4, ready.size() / 2}) {
       if (prefix_len == 0) continue;
-      std::vector<std::size_t> prefix(ordered.begin(),
-                                      ordered.begin() + static_cast<long>(prefix_len));
+      std::vector<std::size_t> prefix(ready.begin(),
+                                      ready.begin() + static_cast<long>(prefix_len));
       // Requests unlocked once the prefix completes (all preds inside).
       std::vector<std::size_t> unlocked;
       for (std::size_t id : prefix) {
@@ -170,18 +106,34 @@ std::vector<std::size_t> BasicTangoScheduler::order(const RequestDag& dag,
       }
     }
   }
-  return ordered;
+  return ready;
 }
 
 double BasicTangoScheduler::estimate_makespan_ms(
-    const RequestDag& dag, const std::vector<std::size_t>& order) const {
-  std::map<SwitchId, double> per_switch;
-  for (std::size_t id : order) {
+    const RequestDag& dag, const std::vector<std::size_t>& order,
+    bool adds_ascending) const {
+  const Makespans est = makespans_ms(dag, order);
+  return adds_ascending ? est.ascending : est.descending;
+}
+
+BasicTangoScheduler::Makespans BasicTangoScheduler::makespans_ms(
+    const RequestDag& dag, const std::vector<std::size_t>& ids) const {
+  // Per-switch queues run in parallel, so a makespan is the max over
+  // switches of their serial cost.
+  std::map<SwitchId, Makespans> per_switch;
+  for (std::size_t id : ids) {
     const auto& req = dag.request(id);
-    per_switch[req.location] += op_cost_ms(req.location, req.type, true);
+    const auto it = costs_.find(req.location);
+    const auto& costs = it == costs_.end() ? kStaticWeights : it->second;
+    auto& sums = per_switch[req.location];
+    sums.ascending += op_cost_ms(costs, req.type, true);
+    sums.descending += op_cost_ms(costs, req.type, false);
   }
-  double worst = 0;
-  for (const auto& [sw, ms] : per_switch) worst = std::max(worst, ms);
+  Makespans worst;
+  for (const auto& [sw, sums] : per_switch) {
+    worst.ascending = std::max(worst.ascending, sums.ascending);
+    worst.descending = std::max(worst.descending, sums.descending);
+  }
   return worst;
 }
 

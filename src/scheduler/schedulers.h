@@ -6,10 +6,13 @@
 // order. Per-switch command queues are FIFO, so issue order *is* execution
 // order on each switch.
 //
-// The Tango scheduler's orderingTangoOracle scores candidate rewrite
-// patterns — permutations of {DEL, MOD, ADD} with an add-priority ordering —
-// using the per-op costs measured by the latency profiler, and issues the
-// ready set in the best pattern's order. With priority enforcement enabled
+// The Tango scheduler's orderingTangoOracle issues every ready set in the
+// fixed type order DEL -> MOD -> ADD. The one choice it makes from the
+// per-op costs measured by the latency profiler is the add direction: adds
+// go in descending priority order only when the measured descending-add
+// makespan is strictly below the ascending one, ascending otherwise. (The
+// cost estimate is a per-switch sum, which no type permutation changes, so
+// the type order is not a scored choice.) With priority enforcement enabled
 // it additionally overwrites application-unspecified priorities with
 // DAG-level-derived ones so that adds become same-priority appends.
 #pragma once
@@ -43,26 +46,22 @@ class DionysusScheduler : public UpdateScheduler {
   [[nodiscard]] std::string name() const override { return "Dionysus"; }
 };
 
+/// Measured per-rule cost of one request type on a switch, in ms. Adds
+/// cost the ascending- or descending-priority rate.
+double op_cost_ms(const core::OpCostEstimate& costs, RequestType type,
+                  bool adds_ascending = true);
+
 struct TangoSchedulerOptions {
-  /// Group ready requests by op type per the best-scoring pattern.
-  bool reorder_types = true;
-  /// Sort the ADD group by ascending priority when the target switch is
-  /// measured to be priority-sensitive.
+  /// Sort the ADD group by priority, in the add direction the measured
+  /// costs favour.
   bool sort_priorities = true;
   /// Evaluate issuing a prefix of the batch first (non-greedy batching
   /// extension): prefixes that unlock cheaper successors can win.
   bool prefix_lookahead = false;
   /// Hoist requests that carry install_by deadlines to the front of the
-  /// batch (earliest-deadline-first among themselves). Trades some pattern
+  /// batch (earliest-deadline-first among themselves). Trades some ordering
   /// efficiency for deadline compliance.
   bool deadline_first = false;
-};
-
-/// One candidate rewrite pattern: an op-type permutation plus add ordering.
-struct OrderingPattern {
-  std::string name;
-  RequestType sequence[3];
-  bool adds_ascending = true;
 };
 
 class BasicTangoScheduler : public UpdateScheduler {
@@ -75,14 +74,11 @@ class BasicTangoScheduler : public UpdateScheduler {
   [[nodiscard]] std::string name() const override { return "Tango"; }
 
   /// Estimated makespan (max over switches of serial cost) of issuing the
-  /// given requests in order. Exposed for the lookahead extension & tests.
+  /// given requests, with adds in ascending or descending priority order.
+  /// The one per-switch score behind order() and the lookahead extension.
   [[nodiscard]] double estimate_makespan_ms(const RequestDag& dag,
-                                            const std::vector<std::size_t>& order) const;
-
-  /// computePatternScore (Algorithm 3): higher is better.
-  [[nodiscard]] double pattern_score(const RequestDag& dag,
-                                     const std::vector<std::size_t>& ready,
-                                     const OrderingPattern& pattern) const;
+                                            const std::vector<std::size_t>& order,
+                                            bool adds_ascending = true) const;
 
   /// Overwrite unspecified priorities from DAG levels: requests at the same
   /// level share one priority, deeper (must-install-first) levels get
@@ -92,20 +88,17 @@ class BasicTangoScheduler : public UpdateScheduler {
                                         std::uint16_t base_priority = 1000,
                                         std::uint16_t step = 10);
 
-  [[nodiscard]] const std::vector<OrderingPattern>& patterns() const {
-    return patterns_;
-  }
-
  private:
-  [[nodiscard]] double op_cost_ms(SwitchId sw, RequestType type,
-                                  bool adds_ascending) const;
-  std::vector<std::size_t> apply_pattern(const RequestDag& dag,
-                                         std::vector<std::size_t> ready,
-                                         const OrderingPattern& pattern) const;
+  struct Makespans {
+    double ascending = 0;
+    double descending = 0;
+  };
+  /// Both add directions' makespans in one pass over `ids`.
+  [[nodiscard]] Makespans makespans_ms(const RequestDag& dag,
+                                       const std::vector<std::size_t>& ids) const;
 
   std::map<SwitchId, core::OpCostEstimate> costs_;
   TangoSchedulerOptions options_;
-  std::vector<OrderingPattern> patterns_;
 };
 
 }  // namespace tango::sched

@@ -237,19 +237,25 @@ bool UpdateTransaction::exec_done() const { return async_.done(); }
 const TransactionReport& UpdateTransaction::finish_commit() {
   assert(commit_started_);
   auto* tele = network_.telemetry();
-  /// One "commit" span per call, recorded at whichever exit is taken;
-  /// nested under it are the executor's own "execute" span and, on the
-  /// recovery path, the "reconcile" span.
-  auto close_commit_span = [&] {
-    if (tele == nullptr) return;
-    tele->trace.span("txn", "commit",
-                     telemetry::TraceCollector::kControllerLane, commit_begin_,
-                     network_.now(),
-                     {telemetry::arg("txn", std::uint64_t{txn_id_}),
-                      telemetry::arg("committed", report_.committed),
-                      telemetry::arg("reconciled", report_.reconciled)});
-    tele->metrics.counter("txn.commits").inc();
-    if (!report_.committed) tele->metrics.counter("txn.failed_commits").inc();
+  /// Every exit records one "commit" span (nested under it are the
+  /// executor's own "execute" span and, on the recovery path, the
+  /// "reconcile" span), then reports to the journal sink and the caller.
+  auto done = [&]() -> const TransactionReport& {
+    if (tele != nullptr) {
+      tele->trace.span("txn", "commit",
+                       telemetry::TraceCollector::kControllerLane,
+                       commit_begin_, network_.now(),
+                       {telemetry::arg("txn", std::uint64_t{txn_id_}),
+                        telemetry::arg("committed", report_.committed),
+                        telemetry::arg("reconciled", report_.reconciled)});
+      tele->metrics.counter("txn.commits").inc();
+      if (!report_.committed) tele->metrics.counter("txn.failed_commits").inc();
+    }
+    if (options_.journal_sink != nullptr) {
+      options_.journal_sink->on_txn_finish(*this, report_);
+    }
+    if (options_.on_report) options_.on_report(report_);
+    return report_;
   };
   report_.exec = async_.valid() ? async_.finish() : ExecutionReport{};
   network_.remove_crash_listener(crash_token_);
@@ -266,6 +272,15 @@ const TransactionReport& UpdateTransaction::finish_commit() {
     }
   }
 
+  if (report_.exec.cyclic_dag) {
+    // The executor refused the DAG and issued nothing: the network still
+    // holds the pre-image, and no repair order exists for a cycle.
+    log::warn("transaction " + std::to_string(txn_id_) +
+              ": request DAG has a dependency cycle; not committed");
+    report_.committed = false;
+    return done();
+  }
+
   const bool needs_reconcile =
       !report_.crashed_switches.empty() || report_.exec.failed_requests > 0 ||
       (options_.policy == RecoveryPolicy::kRollBack &&
@@ -279,12 +294,7 @@ const TransactionReport& UpdateTransaction::finish_commit() {
     if (!options_.readback_verify.empty()) {
       verify_readback(post_, /*forward=*/true);
     }
-    close_commit_span();
-    if (options_.journal_sink != nullptr) {
-      options_.journal_sink->on_txn_finish(*this, report_);
-    }
-    if (options_.on_report) options_.on_report(report_);
-    return report_;
+    return done();
   }
 
   log::info("transaction " + std::to_string(txn_id_) + ": " +
@@ -303,12 +313,7 @@ const TransactionReport& UpdateTransaction::finish_commit() {
     const bool forward = options_.policy == RecoveryPolicy::kRollForward;
     verify_readback(forward ? post_ : pre_, forward);
   }
-  close_commit_span();
-  if (options_.journal_sink != nullptr) {
-    options_.journal_sink->on_txn_finish(*this, report_);
-  }
-  if (options_.on_report) options_.on_report(report_);
-  return report_;
+  return done();
 }
 
 void UpdateTransaction::abandon() {

@@ -2,9 +2,11 @@
 //
 // Measures, per switch, the barrier-timed cost of: additions in ascending /
 // descending / constant / random priority order, modifications, and
-// deletions. The resulting per-op cost estimates are what the Tango
-// scheduler's pattern scores are computed from — so the same scheduler
-// adapts to each switch's measured behaviour instead of hardcoded weights.
+// deletions. The Tango scheduler reads these per-rule costs (through
+// sched::op_cost_ms) to choose the add direction — ascending or descending
+// priority — for each ready set; its type order is fixed at DEL -> MOD ->
+// ADD. So the same scheduler adapts to each switch's measured behaviour
+// instead of hardcoded weights.
 #pragma once
 
 #include <cstddef>

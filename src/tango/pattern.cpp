@@ -2,22 +2,6 @@
 
 namespace tango::core {
 
-void PatternDb::put(TangoPattern pattern) {
-  patterns_[pattern.name] = std::move(pattern);
-}
-
-const TangoPattern* PatternDb::find(const std::string& name) const {
-  const auto it = patterns_.find(name);
-  return it == patterns_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string> PatternDb::names() const {
-  std::vector<std::string> out;
-  out.reserve(patterns_.size());
-  for (const auto& [name, _] : patterns_) out.push_back(name);
-  return out;
-}
-
 void ScoreDb::record(PatternMeasurement m) {
   db_[{m.switch_id, m.pattern}] = std::move(m);
 }

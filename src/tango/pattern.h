@@ -1,9 +1,9 @@
-// Tango patterns and the central pattern/score databases (paper §4).
+// Tango patterns and the score database (paper §4).
 //
 // A Tango pattern is "a sequence of standard OpenFlow flow_mod commands and
 // a corresponding data traffic pattern". The Probing Engine applies a
-// pattern to a switch and records a PatternMeasurement into the ScoreDb,
-// which every other component (inference engine, schedulers) reads.
+// pattern to a switch and, when given a ScoreDb, records the resulting
+// PatternMeasurement there, keyed by switch and pattern name.
 #pragma once
 
 #include <cstdint>
@@ -39,18 +39,6 @@ struct PatternMeasurement {
   /// under an active fault injector; a count here means the measurement's
   /// confidence interval should be widened.
   std::size_t lost_probes = 0;
-};
-
-/// Extensible registry of named patterns (per §4, components generate the
-/// patterns they need and store them here for reuse).
-class PatternDb {
- public:
-  void put(TangoPattern pattern);
-  [[nodiscard]] const TangoPattern* find(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> names() const;
-
- private:
-  std::map<std::string, TangoPattern> patterns_;
 };
 
 /// Measurement results shared across Tango components, keyed by

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "scheduler/schedulers.h"
+
 namespace tango::core {
 
 std::size_t SwitchKnowledge::fast_table_size() const {
@@ -81,7 +83,7 @@ const SwitchKnowledge& TangoController::learn(SwitchId id,
         std::min(latency_config.batch_size,
                  std::max<std::size_t>(1, total_capacity / 3));
   }
-  know.costs = profile_op_costs(probe, latency_config, &scores_);
+  know.costs = profile_op_costs(probe, latency_config);
   probe.clear_rules();
 
   if (options.infer_width) {
@@ -143,7 +145,7 @@ const SwitchKnowledge& TangoController::reinfer(SwitchId id, PropertyKind kind,
             std::min(latency_config.batch_size,
                      std::max<std::size_t>(1, total_capacity / 3));
       }
-      know.costs = profile_op_costs(probe, latency_config, &scores_);
+      know.costs = profile_op_costs(probe, latency_config);
       break;
     }
     case PropertyKind::kWidth: {
@@ -283,17 +285,7 @@ sched::UpdateTransaction TangoController::begin_update(
                        double predicted_ms) {
         double true_predicted = predicted_ms;
         if (const auto it = knowledge_.find(loc); it != knowledge_.end()) {
-          switch (type) {
-            case sched::RequestType::kAdd:
-              true_predicted = it->second.costs.add_ascending_ms;
-              break;
-            case sched::RequestType::kMod:
-              true_predicted = it->second.costs.mod_ms;
-              break;
-            case sched::RequestType::kDel:
-              true_predicted = it->second.costs.del_ms;
-              break;
-          }
+          true_predicted = sched::op_cost_ms(it->second.costs, type);
         }
         health_.on_cost_observation(loc, actual_ms, true_predicted,
                                     network_.now());

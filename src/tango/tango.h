@@ -1,7 +1,7 @@
 // TangoController — the facade that ties the framework together (paper
-// Fig 4): pattern & score databases, probing engine, and switch inference
-// engine. learn() runs the full inference pipeline for one switch and
-// caches a SwitchKnowledge record that schedulers and applications consume.
+// Fig 4): probing engine and switch inference engine. learn() runs the full
+// inference pipeline for one switch and caches a SwitchKnowledge record
+// that schedulers and applications consume.
 #pragma once
 
 #include <map>
@@ -14,7 +14,6 @@
 #include "tables/cache_policy.h"
 #include "tango/knowledge_health.h"
 #include "tango/latency_profiler.h"
-#include "tango/pattern.h"
 #include "tango/policy_inference.h"
 #include "tango/size_inference.h"
 #include "tango/width_inference.h"
@@ -128,8 +127,6 @@ class TangoController {
   [[nodiscard]] const SwitchKnowledge* knowledge(SwitchId id) const;
   [[nodiscard]] bool knows(SwitchId id) const { return knowledge(id) != nullptr; }
 
-  PatternDb& patterns() { return patterns_; }
-  ScoreDb& scores() { return scores_; }
   net::Network& network() { return network_; }
   /// Health/trust bookkeeping for every known switch.
   KnowledgeHealth& health() { return health_; }
@@ -137,8 +134,6 @@ class TangoController {
 
  private:
   net::Network& network_;
-  PatternDb patterns_;
-  ScoreDb scores_;
   std::map<SwitchId, SwitchKnowledge> knowledge_;
   KnowledgeHealth health_;
 };

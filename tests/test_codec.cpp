@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "openflow/codec.h"
 #include "openflow/packet.h"
@@ -176,6 +177,54 @@ TEST(Codec, FlowStatsMultiEntryDistinct) {
     reply.entries.push_back(e);
   }
   EXPECT_EQ(roundtrip(reply), reply);
+}
+
+// Multi-part replies (OFPSF_REPLY_MORE): the flag round-trips, and a reply
+// under 64 KiB keeps the single-part bytes (flags 0).
+TEST(Codec, FlowStatsReplyMoreFlagRoundTrips) {
+  FlowStatsReply part;
+  part.entries.resize(2);
+  part.flags = kStatsReplyMore;
+  EXPECT_EQ(roundtrip(part), part);
+  const auto frame = encode(Message{1, part});
+  EXPECT_EQ(frame[10], 0x00);
+  EXPECT_EQ(frame[11], 0x01);
+  part.flags = 0;
+  EXPECT_EQ(encode(Message{1, part})[11], 0x00);
+}
+
+TEST(Codec, FlowStatsSplitKeepsEveryFrameUnder64KiB) {
+  FlowStatsReply reply;
+  for (std::uint32_t i = 0; i < 2000; ++i) {
+    FlowStatsEntry e;
+    e.match = Match::any().with_in_port(static_cast<std::uint16_t>(i + 1));
+    e.priority = static_cast<std::uint16_t>(i);
+    e.actions = {ActionOutput{2, 0}};
+    reply.entries.push_back(e);
+  }
+  // One frame cannot describe it: the 16-bit length would wrap.
+  EXPECT_GT(wire_size(Message{1, reply}), kMaxFrameLen);
+  EXPECT_THROW(encode(Message{1, reply}), std::length_error);
+
+  const auto parts = split_flow_stats(reply);
+  ASSERT_GT(parts.size(), 1u);
+  FlowStatsReply joined;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const bool last = i + 1 == parts.size();
+    EXPECT_EQ(parts[i].flags, last ? 0 : kStatsReplyMore);
+    EXPECT_LE(wire_size(Message{1, parts[i]}), kMaxFrameLen);
+    const auto decoded = roundtrip(parts[i]);
+    EXPECT_EQ(decoded, parts[i]);
+    joined.entries.insert(joined.entries.end(), decoded.entries.begin(),
+                          decoded.entries.end());
+  }
+  EXPECT_EQ(joined, reply);
+
+  // A reply that fits stays one part, unflagged.
+  reply.entries.resize(10);
+  const auto single = split_flow_stats(reply);
+  ASSERT_EQ(single.size(), 1u);
+  EXPECT_EQ(single[0], reply);
 }
 
 // Per-entry truncation: the outer frame length is consistent, but an entry

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/b4.h"
+#include "net/fault_injector.h"
 #include "net/network.h"
 #include "net/topology.h"
 #include "switchsim/profiles.h"
@@ -171,6 +172,34 @@ TEST(NetworkTest, ChannelStatsCountMessagesAndBytes) {
   EXPECT_GE(after.messages_to_switch - before.messages_to_switch, 3u);
   EXPECT_GT(after.bytes_to_switch, before.bytes_to_switch);
   EXPECT_GT(after.messages_to_controller, 0u);  // barrier reply
+}
+
+// A table past ~680 rules overflows one frame's 16-bit length: the agent
+// replies in OFPSF_REPLY_MORE parts and both readback calls join them —
+// with and without a (fault-free) injector on the channel.
+TEST(NetworkTest, FlowStatsReadbackJoinsMultiPartReplies) {
+  for (const bool injector : {false, true}) {
+    Network net;
+    const auto sw = net.add_switch(ovs());
+    if (injector) net.enable_faults(sw, FaultConfig{});
+    for (std::uint32_t i = 0; i < 2000; ++i) {
+      net.post_flow_mod(sw, ProbeEngine::probe_add(i, static_cast<std::uint16_t>(i)),
+                        [](bool, SimTime) {});
+    }
+    net.run_all();
+    const auto truth = net.sw(sw).flow_stats(of::Match::any());
+    ASSERT_GE(truth.entries.size(), 2000u);
+
+    const auto replies_before = net.stats(sw).messages_to_controller;
+    EXPECT_EQ(net.flow_stats_sync(sw, of::Match::any()), truth);
+    EXPECT_GT(net.stats(sw).messages_to_controller - replies_before, 1u);
+    const auto tried = net.try_flow_stats(sw, of::Match::any());
+    ASSERT_TRUE(tried.has_value());
+    EXPECT_EQ(*tried, truth);
+    if (injector) {
+      EXPECT_EQ(net.fault_injector(sw)->stats().undecodable, 0u);
+    }
+  }
 }
 
 TEST(NetworkTest, SwitchesAreIndependentEndpoints) {

@@ -1,7 +1,7 @@
 // Tests for the latency profiler (the measurement side of the Tango
 // "rewriting patterns"): it must expose the priority-order asymmetry on
-// hardware-style switches and the flatness of OVS, plus the pattern/score
-// database plumbing.
+// hardware-style switches and the flatness of OVS, plus the score database
+// plumbing.
 #include <gtest/gtest.h>
 
 #include "net/network.h"
@@ -80,17 +80,6 @@ TEST(Profiler, RecordsPatternsIntoScoreDb) {
   const auto* asc = scores.find(1, "add.ascending");
   EXPECT_GT(asc->install_time.ns(), 0);
   EXPECT_EQ(asc->switch_id, 1u);
-}
-
-TEST(PatternDbTest, PutFindNames) {
-  PatternDb db;
-  TangoPattern p;
-  p.name = "test.pattern";
-  p.commands = {ProbeEngine::probe_add(0)};
-  db.put(p);
-  EXPECT_NE(db.find("test.pattern"), nullptr);
-  EXPECT_EQ(db.find("missing"), nullptr);
-  EXPECT_EQ(db.names(), std::vector<std::string>{"test.pattern"});
 }
 
 TEST(ScoreDbTest, OverwritesAndQueriesPerSwitch) {

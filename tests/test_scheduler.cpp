@@ -8,6 +8,7 @@
 #include "scheduler/executor.h"
 #include "scheduler/request.h"
 #include "scheduler/schedulers.h"
+#include "scheduler/transaction.h"
 #include "switchsim/profiles.h"
 #include "tango/probe_engine.h"
 #include "tango/tango.h"
@@ -119,7 +120,7 @@ TEST(TangoSchedulerTest, GroupsByTypeAndSortsAddsAscending) {
   (void)mod;
 }
 
-TEST(TangoSchedulerTest, PatternScoreUsesMeasuredCosts) {
+TEST(TangoSchedulerTest, MakespanUsesMeasuredCosts) {
   RequestDag dag;
   std::vector<std::size_t> ready;
   ready.push_back(dag.add(req(1, RequestType::kDel, 0)));
@@ -127,20 +128,15 @@ TEST(TangoSchedulerTest, PatternScoreUsesMeasuredCosts) {
   ready.push_back(dag.add(req(1, RequestType::kAdd, 2)));
   ready.push_back(dag.add(req(1, RequestType::kAdd, 3)));
   BasicTangoScheduler sched(hw_costs());
-  const auto& patterns = sched.patterns();
-  // Ascending-add patterns must outscore the descending variant.
-  double asc_score = -1e300, desc_score = -1e300;
-  for (const auto& p : patterns) {
-    const double s = sched.pattern_score(dag, ready, p);
-    if (p.name == "DEL MOD ASCEND_ADD") asc_score = s;
-    if (p.name == "DEL MOD DESCEND_ADD") desc_score = s;
-  }
-  EXPECT_GT(asc_score, desc_score);
-  // Score formula: -(del + mod + 2*add_asc) on one switch.
-  EXPECT_DOUBLE_EQ(asc_score, -(2.0 + 3.0 + 2 * 1.0));
+  // Ascending adds must be estimated cheaper than descending ones.
+  const double asc = sched.estimate_makespan_ms(dag, ready, true);
+  const double desc = sched.estimate_makespan_ms(dag, ready, false);
+  EXPECT_LT(asc, desc);
+  // Estimate: del + mod + 2*add_asc on one switch.
+  EXPECT_DOUBLE_EQ(asc, 2.0 + 3.0 + 2 * 1.0);
 }
 
-TEST(TangoSchedulerTest, ScoreIsPerSwitchParallelMax) {
+TEST(TangoSchedulerTest, MakespanIsPerSwitchParallelMax) {
   RequestDag dag;
   std::vector<std::size_t> ready;
   // 2 adds on switch 1, 2 adds on switch 2: cost is max, not sum.
@@ -149,16 +145,15 @@ TEST(TangoSchedulerTest, ScoreIsPerSwitchParallelMax) {
   ready.push_back(dag.add(req(2, RequestType::kAdd, 2)));
   ready.push_back(dag.add(req(2, RequestType::kAdd, 3)));
   BasicTangoScheduler sched(hw_costs());
-  const auto& p = sched.patterns()[0];
-  EXPECT_DOUBLE_EQ(sched.pattern_score(dag, ready, p), -2.0);
+  EXPECT_DOUBLE_EQ(sched.estimate_makespan_ms(dag, ready), 2.0);
 }
 
 TEST(TangoSchedulerTest, UnprofiledSwitchFallsBackToStaticWeights) {
   RequestDag dag;
   std::vector<std::size_t> ready{dag.add(req(99, RequestType::kAdd, 0))};
   BasicTangoScheduler sched({});
-  const auto& p = sched.patterns()[0];
-  EXPECT_DOUBLE_EQ(sched.pattern_score(dag, ready, p), -20.0);
+  EXPECT_DOUBLE_EQ(sched.estimate_makespan_ms(dag, ready), 20.0);
+  EXPECT_DOUBLE_EQ(sched.estimate_makespan_ms(dag, ready, false), 40.0);
 }
 
 TEST(TangoSchedulerTest, EnforcePrioritiesByDagLevel) {
@@ -238,6 +233,52 @@ TEST(ExecutorTest, CountsRejections) {
   DionysusScheduler sched;
   const auto report = execute(net, dag, sched);
   EXPECT_EQ(report.rejected, 3u);
+}
+
+// A cycle can never drain: every execution path refuses it in release
+// builds too — nothing issued, every request failed, a flag to test.
+TEST(ExecutorTest, CyclicDagIsRefusedWithoutIssuing) {
+  net::Network net;
+  const auto s1 = net.add_switch(profiles::ovs());
+  const auto rules_before = net.sw(s1).total_rules();
+  const auto msgs_before = net.stats(s1).messages_to_switch;
+  RequestDag dag;
+  const auto a = dag.add(req(s1, RequestType::kAdd, 0));
+  const auto b = dag.add(req(s1, RequestType::kAdd, 1));
+  dag.add_dependency(a, b);
+  dag.add_dependency(b, a);
+  ASSERT_FALSE(dag.is_acyclic());
+
+  DionysusScheduler sched;
+  ExecutorOptions opts;
+  std::set<std::size_t> failed;
+  opts.on_failed = [&](std::size_t id) { failed.insert(id); };
+  const auto report = execute(net, dag, sched, opts);
+  EXPECT_TRUE(report.cyclic_dag);
+  EXPECT_EQ(report.failed_requests, 2u);
+  EXPECT_EQ(report.issued, 0u);
+  EXPECT_EQ(failed, (std::set<std::size_t>{a, b}));
+
+  auto handle = execute_async(net, dag, sched);
+  EXPECT_TRUE(handle.valid());
+  EXPECT_TRUE(handle.done());
+  const auto& async_report = handle.finish();
+  EXPECT_TRUE(async_report.cyclic_dag);
+  EXPECT_EQ(async_report.failed_requests, 2u);
+
+  UpdateTransaction txn(net, dag, {});
+  const auto& txn_report = txn.commit(sched);
+  EXPECT_FALSE(txn_report.committed);
+  EXPECT_TRUE(txn_report.exec.cyclic_dag);
+  EXPECT_EQ(txn_report.exec.failed_requests, 2u);
+  for (const auto& entry : txn.journal()) {
+    EXPECT_EQ(entry.state, JournalEntry::State::kFailed);
+  }
+
+  net.run_all();
+  EXPECT_EQ(net.sw(s1).total_rules(), rules_before);
+  // Only the transaction's pre-image readback went out.
+  EXPECT_EQ(net.stats(s1).messages_to_switch - msgs_before, 1u);
 }
 
 TEST(ExecutorTest, DeadlineMissesAreReported) {
