@@ -1,14 +1,20 @@
-// Google-benchmark microbenchmarks for the OpenFlow wire codec: encode and
-// decode throughput for the hot message types (flow_mod dominates probing
-// and scheduling traffic).
-#include <benchmark/benchmark.h>
+// OpenFlow wire codec microbenchmark: encode and decode throughput for the
+// hot message types (flow_mod dominates probing and scheduling traffic),
+// plus the match predicates and frame reassembly the channel runs per
+// message. Writes BENCH_micro_codec.json; every *_ops_per_sec result is
+// informational — it tracks the host, not the code — so nothing gates it.
+#include <cstdio>
+#include <string>
 
+#include "bench/bench_util.h"
 #include "openflow/codec.h"
 #include "tango/probe_engine.h"
 
 namespace {
 
 using namespace tango;
+using bench::keep;
+using bench::ops_per_sec;
 
 of::Message flow_mod_message() {
   auto fm = core::ProbeEngine::probe_add(123, 456);
@@ -16,69 +22,45 @@ of::Message flow_mod_message() {
   return of::Message{42, fm};
 }
 
-void BM_EncodeFlowMod(benchmark::State& state) {
-  const auto msg = flow_mod_message();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(of::encode(msg));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+void record(bench::BenchReport& report, const std::string& what, double rate) {
+  report.json().set_result(what + "_ops_per_sec", rate);
+  std::printf("  %-24s %14.0f/s\n", what.c_str(), rate);
 }
-BENCHMARK(BM_EncodeFlowMod);
-
-void BM_DecodeFlowMod(benchmark::State& state) {
-  const auto frame = of::encode(flow_mod_message());
-  for (auto _ : state) {
-    auto msg = of::decode(frame);
-    benchmark::DoNotOptimize(msg);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations() * frame.size()));
-}
-BENCHMARK(BM_DecodeFlowMod);
-
-void BM_EncodePacketIn(benchmark::State& state) {
-  of::PacketIn pin;
-  pin.in_port = 3;
-  pin.data.assign(static_cast<std::size_t>(state.range(0)), 0xab);
-  const of::Message msg{7, pin};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(of::encode(msg));
-  }
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_EncodePacketIn)->Arg(64)->Arg(512)->Arg(1500);
-
-void BM_MatchLookup(benchmark::State& state) {
-  const auto match = core::ProbeEngine::probe_match(5);
-  const auto pkt = core::ProbeEngine::probe_packet(5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(match.matches(pkt));
-  }
-}
-BENCHMARK(BM_MatchLookup);
-
-void BM_MatchOverlap(benchmark::State& state) {
-  const auto a = core::ProbeEngine::probe_match(5);
-  auto b = of::Match::any();
-  b.set_nw_src_prefix(0x0a000000, 8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.overlaps(b));
-  }
-}
-BENCHMARK(BM_MatchOverlap);
-
-void BM_FrameAssembler(benchmark::State& state) {
-  const auto frame = of::encode(flow_mod_message());
-  for (auto _ : state) {
-    of::FrameAssembler assembler;
-    assembler.feed(frame);
-    benchmark::DoNotOptimize(assembler.next_frame());
-  }
-}
-BENCHMARK(BM_FrameAssembler);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+  bench::print_header("bench_micro_codec: OpenFlow wire codec throughput",
+                      "per-message control-channel cost; informational only");
+  bench::BenchReport report("micro_codec");
+
+  const auto flow_mod = flow_mod_message();
+  const auto frame = of::encode(flow_mod);
+  record(report, "encode_flow_mod", ops_per_sec([&] { keep(of::encode(flow_mod)); }));
+  record(report, "decode_flow_mod", ops_per_sec([&] { keep(of::decode(frame)); }));
+
+  for (const std::size_t bytes : {64, 512, 1500}) {
+    of::PacketIn pin;
+    pin.in_port = 3;
+    pin.data.assign(bytes, 0xab);
+    const of::Message msg{7, pin};
+    record(report, "encode_packet_in_" + std::to_string(bytes),
+           ops_per_sec([&] { keep(of::encode(msg)); }));
+  }
+
+  const auto match = core::ProbeEngine::probe_match(5);
+  const auto pkt = core::ProbeEngine::probe_packet(5);
+  record(report, "match_lookup", ops_per_sec([&] { keep(match.matches(pkt)); }));
+  auto wide = of::Match::any();
+  wide.set_nw_src_prefix(0x0a000000, 8);
+  record(report, "match_overlap", ops_per_sec([&] { keep(match.overlaps(wide)); }));
+
+  record(report, "frame_assembler", ops_per_sec([&] {
+           of::FrameAssembler assembler;
+           assembler.feed(frame);
+           keep(assembler.next_frame());
+         }));
+
+  bench::print_footer();
+  return 0;
+}

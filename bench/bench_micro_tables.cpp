@@ -6,7 +6,6 @@
 // perf gate (tools/bench_compare.py --tolerance 0.25 against
 // bench/baselines/BENCH_micro_tables.json); the *_ops_per_sec results are
 // informational — they track the host, not the code.
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -24,39 +23,8 @@ using namespace tango;
 using tables::testing::ReferenceMicroflowCache;
 using tables::testing::ReferenceSoftwareTable;
 using tables::testing::ReferenceTcam;
-
-/// Keep a value alive without letting the optimizer fold the computation.
-template <typename T>
-inline void keep(T&& value) {
-  asm volatile("" : : "g"(value) : "memory");
-}
-
-/// Best-of-3 time-budgeted throughput: runs `op` in small batches until the
-/// budget elapses, three times, and keeps the fastest rate (robust against
-/// background load on shared runners).
-template <typename Op>
-double ops_per_sec(Op&& op, double budget_s = 0.1) {
-  using clock = std::chrono::steady_clock;
-  double best = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    op();  // warm caches outside the timed region
-    std::size_t iters = 0;
-    const auto start = clock::now();
-    const auto deadline = start + std::chrono::duration_cast<clock::duration>(
-                                      std::chrono::duration<double>(budget_s));
-    auto now = start;
-    while (now < deadline) {
-      for (int i = 0; i < 4; ++i) {
-        op();
-        ++iters;
-      }
-      now = clock::now();
-    }
-    const double secs = std::chrono::duration<double>(now - start).count();
-    if (secs > 0) best = std::max(best, static_cast<double>(iters) / secs);
-  }
-  return best;
-}
+using bench::keep;
+using bench::ops_per_sec;
 
 tables::FlowEntry make_entry(std::uint32_t index, std::uint16_t priority) {
   tables::FlowEntry e;

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "net/network.h"
-#include "openflow/actions.h"
 #include "openflow/epoch.h"
 #include "scheduler/reconciler.h"
 #include "scheduler/schedulers.h"
@@ -46,7 +45,7 @@ bool cookie_of_txn(std::uint64_t cookie, std::uint32_t txn_id) {
 }
 
 std::uint64_t fingerprint_of(const HaChaosResult& r,
-                             const std::map<SwitchId, sched::TableImage>& tables,
+                             const TableImages& tables,
                              const std::map<SwitchId, std::uint32_t>& epochs) {
   std::uint64_t h = kFnvOffsetBasis;
   fnv_fold(h, r.spec.seed);
@@ -84,16 +83,7 @@ std::uint64_t fingerprint_of(const HaChaosResult& r,
     fnv_fold(h, id);
     fnv_fold(h, epoch);
   }
-  for (const auto& [id, image] : tables) {
-    fnv_fold(h, id);
-    for (const auto& [key, rule] : image) {
-      fnv_fold_str(h, key);
-      fnv_fold(h, rule.cookie);
-      fnv_fold(h, rule.priority);
-      fnv_fold(h, rule.actions.size());
-      fnv_fold(h, of::output_port(rule.actions));
-    }
-  }
+  fnv_fold_tables(h, tables);
   fnv_fold(h, static_cast<std::uint64_t>(r.end_time.ns()));
   return h;
 }
@@ -245,13 +235,9 @@ HaChaosResult run_ha_chaos(const HaChaosSpec& spec) {
     out.stale_epoch_rejections += net.sw(id).stale_epoch_rejections();
   }
 
-  std::map<SwitchId, sched::TableImage> tables;
+  const auto tables = snapshot_tables(net, all);
   std::map<SwitchId, std::uint32_t> epochs;
-  for (const auto id : all) {
-    tables.emplace(id,
-                   sched::image_of(net.sw(id).flow_stats(of::Match::any())));
-    epochs.emplace(id, net.sw(id).controller_epoch());
-  }
+  for (const auto id : all) epochs.emplace(id, net.sw(id).controller_epoch());
 
   // --- oracles --------------------------------------------------------------
   if (ha.takeovers().size() != expected_takeovers) {

@@ -190,14 +190,33 @@ void fnv_fold_str(std::uint64_t& h, const std::string& s) {
   fnv_fold(h, s.size());
 }
 
+TableImages snapshot_tables(net::Network& net, const std::vector<SwitchId>& ids) {
+  TableImages out;
+  for (const auto id : ids) {
+    out.emplace(id, sched::image_of(net.sw(id).flow_stats(of::Match::any())));
+  }
+  return out;
+}
+
+void fnv_fold_tables(std::uint64_t& h, const TableImages& tables) {
+  for (const auto& [id, image] : tables) {
+    fnv_fold(h, id);
+    for (const auto& [key, rule] : image) {
+      fnv_fold_str(h, key);
+      fnv_fold(h, rule.cookie);
+      fnv_fold(h, rule.priority);
+      fnv_fold(h, rule.actions.size());
+      fnv_fold(h, of::output_port(rule.actions));
+    }
+  }
+}
+
 namespace {
 
-// Local aliases keep the (frozen) fingerprint definition readable.
+// A local alias keeps the (frozen) fingerprint definition readable.
 constexpr auto& fold = fnv_fold;
-constexpr auto& fold_str = fnv_fold_str;
 
-std::uint64_t fingerprint_of(const ChaosResult& r,
-                             const std::map<SwitchId, sched::TableImage>& tables) {
+std::uint64_t fingerprint_of(const ChaosResult& r, const TableImages& tables) {
   std::uint64_t h = kFnvOffsetBasis;
   const auto& exec = r.report.exec;
   fold(h, static_cast<std::uint64_t>(exec.makespan.ns()));
@@ -231,16 +250,7 @@ std::uint64_t fingerprint_of(const ChaosResult& r,
     fold(h, stats.partitions);
     fold(h, stats.lost_to_partition);
   }
-  for (const auto& [id, image] : tables) {
-    fold(h, id);
-    for (const auto& [key, rule] : image) {
-      fold_str(h, key);
-      fold(h, rule.cookie);
-      fold(h, rule.priority);
-      fold(h, rule.actions.size());
-      fold(h, of::output_port(rule.actions));
-    }
-  }
+  fnv_fold_tables(h, tables);
   // Misbehavior-mode folds — all empty for wire-fault-only specs, so their
   // frozen v1 fingerprints are unchanged.
   for (const auto& [id, n] : r.report.readback_mismatches) {
@@ -269,16 +279,6 @@ std::uint64_t fingerprint_of(const ChaosResult& r,
 
 }  // namespace
 
-std::vector<std::string> ChaosResult::violation_names() const {
-  std::vector<std::string> out;
-  for (const auto& v : violations) {
-    bool seen = false;
-    for (const auto& name : out) seen = seen || name == v.oracle;
-    if (!seen) out.push_back(v.oracle);
-  }
-  return out;
-}
-
 ChaosResult run_chaos(const ChaosSchedule& schedule) {
   ChaosResult out;
   out.schedule = schedule;
@@ -296,11 +296,7 @@ ChaosResult run_chaos(const ChaosSchedule& schedule) {
 
   // Baseline images of every switch before the transaction: the re-sync
   // target for a late crash on a switch the transaction never touched.
-  std::map<SwitchId, sched::TableImage> baseline;
-  for (const auto id : all) {
-    baseline.emplace(id,
-                     sched::image_of(net.sw(id).flow_stats(of::Match::any())));
-  }
+  const auto baseline = snapshot_tables(net, all);
 
   sched::TransactionOptions topts;
   topts.policy = spec.policy;
@@ -415,10 +411,7 @@ ChaosResult run_chaos(const ChaosSchedule& schedule) {
 
   // Final tables captured before any sentinel activity: re-inference
   // probing wipes and rewrites them.
-  std::map<SwitchId, sched::TableImage> tables;
-  for (const auto id : all) {
-    tables.emplace(id, sched::image_of(net.sw(id).flow_stats(of::Match::any())));
-  }
+  const auto tables = snapshot_tables(net, all);
 
   if (spec.misbehavior) {
     // Accounting: every scheduled semantic fault must have activated.

@@ -51,6 +51,17 @@ inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 void fnv_fold(std::uint64_t& h, std::uint64_t v);
 void fnv_fold_str(std::uint64_t& h, const std::string& s);
 
+/// End tables of a run, keyed by switch.
+using TableImages = std::map<SwitchId, sched::TableImage>;
+
+/// Each switch's table read straight from the simulator, bypassing the
+/// control channel.
+TableImages snapshot_tables(net::Network& net, const std::vector<SwitchId>& ids);
+
+/// Fold end tables into a fingerprint: per switch its id, then per rule its
+/// key, cookie, priority, action count and output port.
+void fnv_fold_tables(std::uint64_t& h, const TableImages& tables);
+
 struct ChaosResult {
   ChaosSchedule schedule;
   sched::TransactionReport report;
@@ -73,8 +84,6 @@ struct ChaosResult {
   std::vector<core::SentinelAction> sentinel;
 
   [[nodiscard]] bool ok() const { return violations.empty(); }
-  /// Oracle names, deduplicated in order — the repro metadata.
-  [[nodiscard]] std::vector<std::string> violation_names() const;
 };
 
 /// Execute one chaos run. Pure function of the schedule.

@@ -13,6 +13,17 @@ std::string to_string(const OracleViolation& v) {
   return v.oracle + ": " + v.detail;
 }
 
+std::vector<std::string> violation_names(
+    const std::vector<OracleViolation>& violations) {
+  std::vector<std::string> out;
+  for (const auto& v : violations) {
+    if (std::find(out.begin(), out.end(), v.oracle) == out.end()) {
+      out.push_back(v.oracle);
+    }
+  }
+  return out;
+}
+
 const sched::TableImage& desired_image(const sched::UpdateTransaction& txn,
                                        SwitchId id) {
   const auto& report = txn.report();

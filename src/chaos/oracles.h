@@ -48,6 +48,10 @@ struct OracleViolation {
 
 std::string to_string(const OracleViolation& v);
 
+/// Oracle names of `violations`, deduplicated in first-seen order.
+std::vector<std::string> violation_names(
+    const std::vector<OracleViolation>& violations);
+
 struct OracleInput {
   net::Network* net = nullptr;
   sched::UpdateTransaction* txn = nullptr;

@@ -94,12 +94,11 @@ sched::RequestDag make_dag(service::TenantId t, std::uint32_t lane,
 // --- fingerprint ------------------------------------------------------------
 
 constexpr auto& fold = fnv_fold;
-constexpr auto& fold_str = fnv_fold_str;
 
 std::uint64_t fingerprint_of(
     const TenantChaosResult& r,
     const std::map<std::uint64_t, IntentExpect>& intents,
-    const std::map<SwitchId, sched::TableImage>& tables) {
+    const TableImages& tables) {
   std::uint64_t h = kFnvOffsetBasis;
   const auto& rep = r.report;
   fold(h, rep.submitted);
@@ -138,16 +137,7 @@ std::uint64_t fingerprint_of(
     fold(h, stats.lost_to_down);
     fold(h, stats.crashes);
   }
-  for (const auto& [id, image] : tables) {
-    fold(h, id);
-    for (const auto& [key, rule] : image) {
-      fold_str(h, key);
-      fold(h, rule.cookie);
-      fold(h, rule.priority);
-      fold(h, rule.actions.size());
-      fold(h, of::output_port(rule.actions));
-    }
-  }
+  fnv_fold_tables(h, tables);
   fold(h, static_cast<std::uint64_t>(r.end_time.ns()));
   return h;
 }
@@ -161,16 +151,6 @@ std::string describe(service::TenantId t, std::uint64_t intent_id,
 }
 
 }  // namespace
-
-std::vector<std::string> TenantChaosResult::violation_names() const {
-  std::vector<std::string> out;
-  for (const auto& v : violations) {
-    bool seen = false;
-    for (const auto& name : out) seen = seen || name == v.oracle;
-    if (!seen) out.push_back(v.oracle);
-  }
-  return out;
-}
 
 TenantChaosResult run_tenant_chaos(const TenantChaosSpec& raw) {
   TenantChaosResult out;
@@ -301,11 +281,7 @@ TenantChaosResult run_tenant_chaos(const TenantChaosSpec& raw) {
 
   out.report = svc.report();
 
-  std::map<SwitchId, sched::TableImage> tables;
-  for (const auto id : all) {
-    tables.emplace(id,
-                   sched::image_of(net.sw(id).flow_stats(of::Match::any())));
-  }
+  const auto tables = snapshot_tables(net, all);
 
   // --- oracles ----------------------------------------------------------------
   const auto rule_of = [&tables](const ExpectedRule& want)

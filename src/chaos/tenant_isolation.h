@@ -80,8 +80,6 @@ struct TenantChaosResult {
   std::size_t rollbacks = 0;
 
   [[nodiscard]] bool ok() const { return violations.empty(); }
-  /// Oracle names, deduplicated in order.
-  [[nodiscard]] std::vector<std::string> violation_names() const;
 };
 
 /// Execute one multi-tenant chaos run. Pure function of the spec.

@@ -1,42 +1,17 @@
 #include "runner/soak.h"
 
-#include <chrono>
-#include <cstdio>
+#include <algorithm>
 #include <fstream>
 
 #include "chaos/ha_harness.h"
 #include "chaos/shrinker.h"
 #include "chaos/tenant_isolation.h"
-#include "runner/pool.h"
 
 namespace tango::runner {
 
 namespace {
 
-/// printf into a std::string — the narrative must match the historical
-/// tool output byte for byte, so it is built with the same formats.
-template <typename... Args>
-std::string format(const char* fmt, Args... args) {
-  char buf[512];
-  const int n = std::snprintf(buf, sizeof buf, fmt, args...);
-  return std::string(buf, n < 0 ? 0 : static_cast<std::size_t>(n));
-}
-
-class SweepTimer {
- public:
-  explicit SweepTimer(std::uint64_t& acc)
-      : acc_(acc), begin_(std::chrono::steady_clock::now()) {}
-  ~SweepTimer() {
-    acc_ = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - begin_)
-            .count());
-  }
-
- private:
-  std::uint64_t& acc_;
-  std::chrono::steady_clock::time_point begin_;
-};
+using Row = telemetry::RunReport::Row;
 
 struct GridJob {
   std::uint64_t seed = 0;
@@ -57,6 +32,20 @@ std::vector<GridJob> expand_grid(const ChaosSweepConfig& cfg) {
   return jobs;
 }
 
+/// The label and leading seed/workload/policy cells of a grid run.
+void start_grid_run(SweepRun& run, const GridJob& job) {
+  run.row.col("seed", static_cast<double>(job.seed))
+      .col("workload", chaos::to_string(job.workload))
+      .col("policy", sched::to_string(job.policy));
+  run.label = "seed " + std::to_string(job.seed) + " " +
+              chaos::to_string(job.workload) + "/" +
+              sched::to_string(job.policy);
+}
+
+std::string fp_hex(std::uint64_t fp) {
+  return strprintf("0x%016llx", static_cast<unsigned long long>(fp));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -65,28 +54,15 @@ std::vector<GridJob> expand_grid(const ChaosSweepConfig& cfg) {
 
 namespace {
 
-/// Everything a chaos job produces; workers do no I/O and no aggregation —
-/// both happen in the job-ordered collector loop below.
-struct ChaosJobOut {
-  GridJob job;
-  std::size_t events = 0;
-  std::vector<std::string> violation_lines;
-  std::uint64_t fingerprint = 0;
-  std::uint64_t makespan_ns = 0;
-  std::uint64_t wall_ns = 0;
-  bool ok = true;
+struct ChaosRun : SweepRun {
   // Shrink products (violating runs only).
-  bool shrunk = false;
-  std::size_t orig_events = 0;
-  std::size_t min_events = 0;
-  std::size_t probes = 0;
+  std::string shrunk_line;
   std::string repro_filename;  // joined with out_dir by the collector
   std::string repro_json;
 };
 
-ChaosJobOut run_chaos_job(const ChaosSweepConfig& cfg, const GridJob& job) {
-  ChaosJobOut out;
-  out.job = job;
+ChaosRun run_chaos_job(const ChaosSweepConfig& cfg, const GridJob& job) {
+  ChaosRun out;
   chaos::ChaosSpec spec;
   spec.seed = job.seed;
   spec.workload = job.workload;
@@ -95,16 +71,18 @@ ChaosJobOut run_chaos_job(const ChaosSweepConfig& cfg, const GridJob& job) {
   spec.misbehavior = cfg.misbehavior;
   const auto schedule = chaos::generate_schedule(spec);
   auto result = chaos::run_chaos(schedule);
-  out.events = schedule.events.size();
+  start_grid_run(out, job);
+  out.row.col("events", static_cast<double>(schedule.events.size()))
+      .col("violations", static_cast<double>(result.violations.size()))
+      .col("makespan_ns",
+           static_cast<double>(result.report.exec.makespan.ns()));
+  out.ok_detail = strprintf(" (%zu events, fp %s)", schedule.events.size(),
+                            fp_hex(result.fingerprint).c_str());
+  out.violations = result.violations;
   out.fingerprint = result.fingerprint;
-  out.makespan_ns = static_cast<std::uint64_t>(result.report.exec.makespan.ns());
   out.wall_ns = result.wall_ns;
-  out.ok = result.ok();
-  if (out.ok) return out;
+  if (result.ok()) return out;
 
-  for (const auto& v : result.violations) {
-    out.violation_lines.push_back(chaos::to_string(v));
-  }
   chaos::ChaosSchedule minimal = schedule;
   if (cfg.shrink) {
     const auto shrunk = chaos::shrink_schedule(
@@ -112,10 +90,9 @@ ChaosJobOut run_chaos_job(const ChaosSweepConfig& cfg, const GridJob& job) {
           return !chaos::run_chaos(candidate).ok();
         });
     minimal = shrunk.schedule;
-    out.shrunk = true;
-    out.orig_events = schedule.events.size();
-    out.min_events = minimal.events.size();
-    out.probes = shrunk.probes;
+    out.shrunk_line = strprintf("      shrunk %zu -> %zu events in %zu probes\n",
+                                schedule.events.size(), minimal.events.size(),
+                                shrunk.probes);
     // Re-run the minimal schedule so the repro captures ITS fingerprint
     // and violations, not the original's.
     result = chaos::run_chaos(minimal);
@@ -126,7 +103,7 @@ ChaosJobOut run_chaos_job(const ChaosSweepConfig& cfg, const GridJob& job) {
       (job.policy == sched::RecoveryPolicy::kRollForward ? "fwd" : "back") +
       ".json";
   out.repro_json = chaos::to_repro_json(minimal, result.fingerprint,
-                                        result.violation_names());
+                                        chaos::violation_names(result.violations));
   return out;
 }
 
@@ -135,88 +112,31 @@ ChaosJobOut run_chaos_job(const ChaosSweepConfig& cfg, const GridJob& job) {
 SweepOutcome run_chaos_sweep(const ChaosSweepConfig& cfg,
                              const SweepOptions& opt) {
   SweepOutcome out("CHAOS_soak");
-  const auto jobs = expand_grid(cfg);
-  std::vector<ChaosJobOut> results;
-  {
-    SweepTimer timer(out.total_wall_ns);
-    results = run_indexed(jobs.size(), opt.workers, [&](std::size_t i) {
-      return run_chaos_job(cfg, jobs[i]);
-    });
-  }
-
-  double wall_ms_sum = 0;
-  for (const auto& r : results) {
-    ++out.runs;
-    chaos::fnv_fold(out.sweep_fingerprint, r.fingerprint);
-    auto& row = out.report.add_row()
-                    .col("seed", static_cast<double>(r.job.seed))
-                    .col("workload", chaos::to_string(r.job.workload))
-                    .col("policy", sched::to_string(r.job.policy))
-                    .col("events", static_cast<double>(r.events))
-                    .col("violations",
-                         static_cast<double>(r.violation_lines.size()))
-                    .col("makespan_ns", static_cast<double>(r.makespan_ns));
-    const std::string label =
-        "seed " + std::to_string(r.job.seed) + " " +
-        chaos::to_string(r.job.workload) + "/" + sched::to_string(r.job.policy);
-    if (r.ok) {
-      if (opt.verbose) {
-        out.text += format("ok    %s (%zu events, fp 0x%016llx)\n",
-                           label.c_str(), r.events,
-                           static_cast<unsigned long long>(r.fingerprint));
-      }
-    } else {
-      ++out.violations;
-      out.text += format("FAIL  %s: %zu violation(s)\n", label.c_str(),
-                         r.violation_lines.size());
-      for (const auto& v : r.violation_lines) {
-        out.text += format("      %s\n", v.c_str());
-      }
-      if (r.shrunk) {
-        out.text += format("      shrunk %zu -> %zu events in %zu probes\n",
-                           r.orig_events, r.min_events, r.probes);
-      }
-      if (!cfg.out_dir.empty()) {
+  collect_sweep(
+      out, "chaos", cfg.seed_lo, cfg.seed_hi, expand_grid(cfg), opt,
+      [&](const GridJob& job) { return run_chaos_job(cfg, job); },
+      [&](const ChaosRun& r, Row& row) {
+        if (r.violations.empty()) return;
+        out.text += r.shrunk_line;
+        if (cfg.out_dir.empty()) return;
         const std::string path = cfg.out_dir + "/" + r.repro_filename;
         std::ofstream repro(path);
-        if (repro) {
-          repro << r.repro_json;
-          ++out.repros_written;
-          out.text += format("      repro written to %s\n", path.c_str());
-          // Basename, not path: the repro sits next to the report, and the
-          // report must stay byte-identical across output directories (the
-          // nightly serial-vs-parallel spot-check diffs two different dirs).
-          row.col("repro", r.repro_filename);
-        } else {
-          out.errors += format("chaos_soak: cannot write %s\n", path.c_str());
+        if (!repro) {
+          out.errors += strprintf("chaos_soak: cannot write %s\n", path.c_str());
+          return;
         }
-      }
-    }
-    if (opt.wall) {
-      const double ms = static_cast<double>(r.wall_ns) / 1e6;
-      wall_ms_sum += ms;
-      row.col("wall_ms", ms);
-    }
-  }
-
-  out.report.set_result("chaos.runs", static_cast<double>(out.runs));
-  out.report.set_result("chaos.violations",
-                        static_cast<double>(out.violations));
+        repro << r.repro_json;
+        ++out.repros_written;
+        out.text += strprintf("      repro written to %s\n", path.c_str());
+        // Basename, not path: the repro sits next to the report, and the
+        // report must stay byte-identical across output directories (the
+        // nightly serial-vs-parallel spot-check diffs two different dirs).
+        row.col("repro", r.repro_filename);
+      });
   out.report.set_result("chaos.repros_written",
                         static_cast<double>(out.repros_written));
   out.report.set_result("chaos.horizon", chaos::to_string(cfg.horizon));
   out.report.set_result("chaos.misbehavior", cfg.misbehavior ? 1.0 : 0.0);
-  out.report.set_result("chaos.seed_lo", static_cast<double>(cfg.seed_lo));
-  out.report.set_result("chaos.seed_hi", static_cast<double>(cfg.seed_hi));
-  out.report.set_result("chaos.sweep_fingerprint",
-                        format("0x%016llx", static_cast<unsigned long long>(
-                                                out.sweep_fingerprint)));
-  if (opt.wall) {
-    out.report.set_result("chaos.wall_ms", wall_ms_sum);
-    out.report.set_result(
-        "chaos.sweep_wall_ms",
-        static_cast<double>(out.total_wall_ns) / 1e6);
-  }
   return out;
 }
 
@@ -226,29 +146,21 @@ SweepOutcome run_chaos_sweep(const ChaosSweepConfig& cfg,
 
 namespace {
 
-struct HaJobOut {
-  GridJob job;
-  chaos::ControllerFaultKind scenario{};
-  std::vector<std::string> violation_lines;
-  std::uint64_t fingerprint = 0;
+struct HaRun : SweepRun {
   std::uint64_t failovers = 0;
   std::uint64_t stale_epoch_rejections = 0;
   double takeover_ms = 0;
   double replication_lag_ns = 0;
-  std::uint64_t wall_ns = 0;
-  bool ok = true;
 };
 
-HaJobOut run_ha_job(const ChaosSweepConfig& cfg, const GridJob& job) {
-  HaJobOut out;
-  out.job = job;
+HaRun run_ha_job(const ChaosSweepConfig& cfg, const GridJob& job) {
+  HaRun out;
   chaos::HaChaosSpec spec;
   spec.seed = job.seed;
   spec.workload = job.workload;
   spec.policy = job.policy;
   spec.horizon = cfg.horizon;
   spec.scenario = chaos::scenario_of(job.seed);
-  out.scenario = spec.scenario;
   const auto result = chaos::run_ha_chaos(spec);
   for (const auto& rep : result.takeovers) {
     out.takeover_ms = std::max(out.takeover_ms, rep.takeover_ms);
@@ -257,14 +169,19 @@ HaJobOut run_ha_job(const ChaosSweepConfig& cfg, const GridJob& job) {
       static_cast<double>(result.standby.max_replication_lag.ns());
   out.failovers = result.ha.failover_count;
   out.stale_epoch_rejections = result.stale_epoch_rejections;
+  start_grid_run(out, job);
+  out.label += " " + chaos::to_string(spec.scenario);
+  out.row.col("scenario", chaos::to_string(spec.scenario))
+      .col("failovers", static_cast<double>(out.failovers))
+      .col("takeover_ms", out.takeover_ms)
+      .col("replication_lag_ns", out.replication_lag_ns)
+      .col("stale_epoch_rejections",
+           static_cast<double>(out.stale_epoch_rejections))
+      .col("violations", static_cast<double>(result.violations.size()));
+  out.ok_detail = " (fp " + fp_hex(result.fingerprint) + ")";
+  out.violations = result.violations;
   out.fingerprint = result.fingerprint;
   out.wall_ns = result.wall_ns;
-  out.ok = result.ok();
-  if (!out.ok) {
-    for (const auto& v : result.violations) {
-      out.violation_lines.push_back(chaos::to_string(v));
-    }
-  }
   return out;
 }
 
@@ -273,87 +190,26 @@ HaJobOut run_ha_job(const ChaosSweepConfig& cfg, const GridJob& job) {
 SweepOutcome run_ha_sweep(const ChaosSweepConfig& cfg,
                           const SweepOptions& opt) {
   SweepOutcome out("HA_soak");
-  const auto jobs = expand_grid(cfg);
-  std::vector<HaJobOut> results;
-  {
-    SweepTimer timer(out.total_wall_ns);
-    results = run_indexed(jobs.size(), opt.workers, [&](std::size_t i) {
-      return run_ha_job(cfg, jobs[i]);
-    });
-  }
-
   std::uint64_t failovers = 0;
   std::uint64_t stale_rejections = 0;
   double takeover_ms_max = 0;
   double replication_lag_ns_max = 0;
-  double wall_ms_sum = 0;
-  for (const auto& r : results) {
-    ++out.runs;
-    chaos::fnv_fold(out.sweep_fingerprint, r.fingerprint);
-    failovers += r.failovers;
-    stale_rejections += r.stale_epoch_rejections;
-    takeover_ms_max = std::max(takeover_ms_max, r.takeover_ms);
-    replication_lag_ns_max =
-        std::max(replication_lag_ns_max, r.replication_lag_ns);
-    auto& row =
-        out.report.add_row()
-            .col("seed", static_cast<double>(r.job.seed))
-            .col("workload", chaos::to_string(r.job.workload))
-            .col("policy", sched::to_string(r.job.policy))
-            .col("scenario", chaos::to_string(r.scenario))
-            .col("failovers", static_cast<double>(r.failovers))
-            .col("takeover_ms", r.takeover_ms)
-            .col("replication_lag_ns", r.replication_lag_ns)
-            .col("stale_epoch_rejections",
-                 static_cast<double>(r.stale_epoch_rejections))
-            .col("violations", static_cast<double>(r.violation_lines.size()));
-    if (r.ok) {
-      if (opt.verbose) {
-        out.text += format(
-            "ok    seed %llu %s/%s %s (fp 0x%016llx)\n",
-            static_cast<unsigned long long>(r.job.seed),
-            chaos::to_string(r.job.workload).c_str(),
-            sched::to_string(r.job.policy).c_str(),
-            chaos::to_string(r.scenario).c_str(),
-            static_cast<unsigned long long>(r.fingerprint));
-      }
-    } else {
-      ++out.violations;
-      out.text += format("FAIL  seed %llu %s/%s %s: %zu violation(s)\n",
-                         static_cast<unsigned long long>(r.job.seed),
-                         chaos::to_string(r.job.workload).c_str(),
-                         sched::to_string(r.job.policy).c_str(),
-                         chaos::to_string(r.scenario).c_str(),
-                         r.violation_lines.size());
-      for (const auto& v : r.violation_lines) {
-        out.text += format("      %s\n", v.c_str());
-      }
-    }
-    if (opt.wall) {
-      const double ms = static_cast<double>(r.wall_ns) / 1e6;
-      wall_ms_sum += ms;
-      row.col("wall_ms", ms);
-    }
-  }
-
-  out.report.set_result("ha.runs", static_cast<double>(out.runs));
-  out.report.set_result("ha.violations", static_cast<double>(out.violations));
+  collect_sweep(
+      out, "ha", cfg.seed_lo, cfg.seed_hi, expand_grid(cfg), opt,
+      [&](const GridJob& job) { return run_ha_job(cfg, job); },
+      [&](const HaRun& r, Row&) {
+        failovers += r.failovers;
+        stale_rejections += r.stale_epoch_rejections;
+        takeover_ms_max = std::max(takeover_ms_max, r.takeover_ms);
+        replication_lag_ns_max =
+            std::max(replication_lag_ns_max, r.replication_lag_ns);
+      });
   out.report.set_result("ha.failover_count", static_cast<double>(failovers));
   out.report.set_result("ha.takeover_ms_max", takeover_ms_max);
   out.report.set_result("ha.replication_lag_ns_max", replication_lag_ns_max);
   out.report.set_result("ha.stale_epoch_rejections",
                         static_cast<double>(stale_rejections));
   out.report.set_result("ha.horizon", chaos::to_string(cfg.horizon));
-  out.report.set_result("ha.seed_lo", static_cast<double>(cfg.seed_lo));
-  out.report.set_result("ha.seed_hi", static_cast<double>(cfg.seed_hi));
-  out.report.set_result("ha.sweep_fingerprint",
-                        format("0x%016llx", static_cast<unsigned long long>(
-                                                out.sweep_fingerprint)));
-  if (opt.wall) {
-    out.report.set_result("ha.wall_ms", wall_ms_sum);
-    out.report.set_result("ha.sweep_wall_ms",
-                          static_cast<double>(out.total_wall_ns) / 1e6);
-  }
   return out;
 }
 
@@ -363,44 +219,35 @@ SweepOutcome run_ha_sweep(const ChaosSweepConfig& cfg,
 
 namespace {
 
-struct ServiceJobOut {
-  std::uint64_t seed = 0;
-  std::uint32_t tenants = 0;
-  std::vector<std::string> violation_lines;
-  std::uint64_t fingerprint = 0;
+struct ServiceRun : SweepRun {
   std::size_t rollbacks = 0;
-  std::size_t completed = 0;
-  double fairness = 0;
-  std::size_t max_concurrency = 0;
-  std::uint64_t makespan_ns = 0;
-  std::uint64_t wall_ns = 0;
-  bool ok = true;
 };
 
-ServiceJobOut run_service_job(const ServiceSweepConfig& cfg,
-                              std::uint64_t seed) {
-  ServiceJobOut out;
-  out.seed = seed;
+ServiceRun run_service_job(const ServiceSweepConfig& cfg, std::uint64_t seed) {
+  ServiceRun out;
   chaos::TenantChaosSpec spec;
   spec.seed = seed;
   spec.n_tenants = cfg.tenants;
   spec.intents_per_tenant = cfg.intents;
   spec.faults = cfg.faults;
   const auto result = chaos::run_tenant_chaos(spec);
-  out.tenants = result.spec.n_tenants;
-  out.fingerprint = result.fingerprint;
+  const auto& rep = result.report;
   out.rollbacks = result.rollbacks;
-  out.completed = result.report.completed;
-  out.fairness = result.report.fairness_index;
-  out.max_concurrency = result.report.max_concurrency;
-  out.makespan_ns = static_cast<std::uint64_t>(result.report.makespan.ns());
+  out.row.col("seed", static_cast<double>(seed))
+      .col("tenants", static_cast<double>(result.spec.n_tenants))
+      .col("violations", static_cast<double>(result.violations.size()))
+      .col("rollbacks", static_cast<double>(result.rollbacks))
+      .col("fairness", rep.fairness_index)
+      .col("max_concurrency", static_cast<double>(rep.max_concurrency))
+      .col("makespan_ns", static_cast<double>(rep.makespan.ns()));
+  out.label = "seed " + std::to_string(seed);
+  out.ok_detail = strprintf(
+      ": %zu intents committed, %zu rollback(s), fairness %.3f, fp %s",
+      rep.completed, result.rollbacks, rep.fairness_index,
+      fp_hex(result.fingerprint).c_str());
+  out.violations = result.violations;
+  out.fingerprint = result.fingerprint;
   out.wall_ns = result.wall_ns;
-  out.ok = result.ok();
-  if (!out.ok) {
-    for (const auto& v : result.violations) {
-      out.violation_lines.push_back(chaos::to_string(v));
-    }
-  }
   return out;
 }
 
@@ -409,72 +256,20 @@ ServiceJobOut run_service_job(const ServiceSweepConfig& cfg,
 SweepOutcome run_service_sweep(const ServiceSweepConfig& cfg,
                                const SweepOptions& opt) {
   SweepOutcome out("SERVICE_soak");
-  const std::size_t n =
-      cfg.seed_hi >= cfg.seed_lo ? cfg.seed_hi - cfg.seed_lo + 1 : 0;
-  std::vector<ServiceJobOut> results;
-  {
-    SweepTimer timer(out.total_wall_ns);
-    results = run_indexed(n, opt.workers, [&](std::size_t i) {
-      return run_service_job(cfg, cfg.seed_lo + i);
-    });
+  std::vector<std::uint64_t> seeds;
+  for (std::uint64_t seed = cfg.seed_lo; seed <= cfg.seed_hi; ++seed) {
+    seeds.push_back(seed);
   }
-
-  double wall_ms_sum = 0;
-  for (const auto& r : results) {
-    ++out.runs;
-    chaos::fnv_fold(out.sweep_fingerprint, r.fingerprint);
-    if (r.rollbacks > 0) ++out.rollback_runs;
-    auto& row = out.report.add_row()
-                    .col("seed", static_cast<double>(r.seed))
-                    .col("tenants", static_cast<double>(r.tenants))
-                    .col("violations",
-                         static_cast<double>(r.violation_lines.size()))
-                    .col("rollbacks", static_cast<double>(r.rollbacks))
-                    .col("fairness", r.fairness)
-                    .col("max_concurrency",
-                         static_cast<double>(r.max_concurrency))
-                    .col("makespan_ns", static_cast<double>(r.makespan_ns));
-    if (r.ok) {
-      if (opt.verbose) {
-        out.text += format(
-            "ok    seed %llu: %zu intents committed, %zu rollback(s), "
-            "fairness %.3f, fp 0x%016llx\n",
-            static_cast<unsigned long long>(r.seed), r.completed, r.rollbacks,
-            r.fairness, static_cast<unsigned long long>(r.fingerprint));
-      }
-    } else {
-      ++out.violations;
-      out.text += format("FAIL  seed %llu: %zu violation(s)\n",
-                         static_cast<unsigned long long>(r.seed),
-                         r.violation_lines.size());
-      for (const auto& v : r.violation_lines) {
-        out.text += format("      %s\n", v.c_str());
-      }
-    }
-    if (opt.wall) {
-      const double ms = static_cast<double>(r.wall_ns) / 1e6;
-      wall_ms_sum += ms;
-      row.col("wall_ms", ms);
-    }
-  }
-
-  out.report.set_result("service.runs", static_cast<double>(out.runs));
-  out.report.set_result("service.violations",
-                        static_cast<double>(out.violations));
+  collect_sweep(
+      out, "service", cfg.seed_lo, cfg.seed_hi, seeds, opt,
+      [&](std::uint64_t seed) { return run_service_job(cfg, seed); },
+      [&](const ServiceRun& r, Row&) {
+        if (r.rollbacks > 0) ++out.rollback_runs;
+      });
   out.report.set_result("service.rollback_runs",
                         static_cast<double>(out.rollback_runs));
   out.report.set_result("service.tenants", static_cast<double>(cfg.tenants));
   out.report.set_result("service.faults", cfg.faults ? 1.0 : 0.0);
-  out.report.set_result("service.seed_lo", static_cast<double>(cfg.seed_lo));
-  out.report.set_result("service.seed_hi", static_cast<double>(cfg.seed_hi));
-  out.report.set_result("service.sweep_fingerprint",
-                        format("0x%016llx", static_cast<unsigned long long>(
-                                                out.sweep_fingerprint)));
-  if (opt.wall) {
-    out.report.set_result("service.wall_ms", wall_ms_sum);
-    out.report.set_result("service.sweep_wall_ms",
-                          static_cast<double>(out.total_wall_ns) / 1e6);
-  }
   return out;
 }
 

@@ -42,8 +42,8 @@ RunReport::Row& RunReport::Row::col(const std::string& key,
   return *this;
 }
 
-RunReport::Row& RunReport::add_row() {
-  rows_.emplace_back();
+RunReport::Row& RunReport::add_row(Row row) {
+  rows_.push_back(std::move(row));
   return rows_.back();
 }
 

@@ -50,7 +50,8 @@ class RunReport {
     /// Values pre-rendered as JSON fragments, in insertion order.
     std::vector<std::pair<std::string, std::string>> cells_;
   };
-  Row& add_row();
+  /// Append a row: empty, or one a worker filled in beforehand.
+  Row& add_row(Row row = {});
 
   /// Snapshot every instrument in `reg` into the report — values are
   /// copied, so the registry may die before the report is written.

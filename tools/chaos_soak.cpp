@@ -1,25 +1,37 @@
-// chaos_soak: drive the chaos harness across a seed range, shrink any
-// violation to a minimal reproducer, and emit machine-readable artifacts.
+// chaos_soak: drive one fault family across a seed range, shrink any
+// switch-fault violation to a minimal reproducer, and emit
+// machine-readable artifacts.
 //
 //   chaos_soak --seeds 1-20 --horizon short --workload all --policy both
 //   chaos_soak --seeds 1-200 --workers 8       # parallel seed sweep
+//   chaos_soak --family ha --seeds 1-50        # controller faults
+//   chaos_soak --family service --seeds 1-20 --tenants 4 --intents 3
 //   chaos_soak --replay repro_seed42.json      # re-execute a repro file
+//
+// `--family` picks the harness: `chaos` (default) runs the switch-side
+// wire/misbehavior harness and writes CHAOS_soak.json; `ha` runs
+// run_ha_chaos (scenario = seed % 5) and writes HA_soak.json; `service`
+// runs the multi-tenant isolation harness and writes SERVICE_soak.json.
+// --horizon/--workload/--policy shape the chaos and HA grids; --tenants,
+// --intents and --no-faults shape the service runs.
 //
 // Every run is deterministic: a seed identifies a fault schedule, and the
 // run's 64-bit fingerprint (counters + fault stats + final tables + final
 // virtual clock) is printed so bit-identical replay is checkable by eye or
-// by CI. On violation the schedule is delta-debugged down to a locally
-// minimal event list and written as a chaos_repro JSON file into --out;
-// a CHAOS_soak.json run report (tango.run_report.v1) summarizes the sweep.
+// by CI. On a chaos-family violation the schedule is delta-debugged down
+// to a locally minimal event list and written as a chaos_repro JSON file
+// into --out; a <FAMILY>_soak.json run report (tango.run_report.v1)
+// summarizes the sweep.
 //
-// The sweep itself runs on runner::run_chaos_sweep: `--workers N` fans the
-// seed grid over a thread pool (each run owns an isolated world) while the
-// report, console lines, repro files, and sweep fingerprint stay
-// byte-identical to a serial run — the nightly job spot-checks exactly
-// that. `--wall` additionally surfaces per-run wall_ms columns (real
-// time, nondeterministic, so off by default); `--bench-speedup` runs the
-// sweep twice (serial then parallel) and records the measured
-// `chaos.speedup_parallel` for tools/bench_compare.py to gate.
+// The sweep itself runs on runner::run_{chaos,ha,service}_sweep:
+// `--workers N` fans the seed grid over a thread pool (each run owns an
+// isolated world) while the report, console lines, repro files, and sweep
+// fingerprint stay byte-identical to a serial run — the nightly job
+// spot-checks exactly that. `--wall` additionally surfaces per-run wall_ms
+// columns (real time, nondeterministic, so off by default);
+// `--bench-speedup` runs the sweep twice (serial then parallel) and
+// records the measured `speedup_parallel` for tools/bench_compare.py to
+// gate.
 //
 // Exit status: 0 = all runs clean (or replay clean), 1 = violations found
 // (or replay reproduced its violation), 2 = usage/file errors.
@@ -39,26 +51,28 @@ namespace {
 
 using namespace tango;  // tool code: brevity over namespace hygiene
 
+enum class Family { kChaos, kHa, kService };
+
 struct Args {
-  runner::ChaosSweepConfig sweep;
+  Family family = Family::kChaos;
+  runner::ChaosSweepConfig sweep;  // chaos and HA grids; --out for all
+  runner::ServiceSweepConfig service;
   runner::SweepOptions opt;
   std::string replay;
-  /// Measure a serial pass first and report chaos.speedup_parallel.
+  /// Measure a serial pass first and report speedup_parallel.
   bool bench_speedup = false;
-  /// Controller-side faults: sweep run_ha_chaos (scenario = seed % 5)
-  /// instead of the switch-side wire harness; emits HA_soak.json.
-  bool controller_faults = false;
 };
 
 void usage() {
   std::fprintf(stderr,
-               "usage: chaos_soak [--seeds A-B] [--horizon short|medium|long]\n"
+               "usage: chaos_soak [--family chaos|ha|service] [--seeds A-B]\n"
+               "                  [--horizon short|medium|long]\n"
                "                  [--workload fig10|te|acl|all]\n"
                "                  [--policy forward|rollback|both]\n"
+               "                  [--tenants N] [--intents N] [--no-faults]\n"
                "                  [--replay FILE] [--out DIR] [--no-shrink]\n"
-               "                  [--misbehavior] [--controller-faults]\n"
-               "                  [--workers N] [--wall] [--bench-speedup]\n"
-               "                  [--verbose]\n");
+               "                  [--misbehavior] [--workers N] [--wall]\n"
+               "                  [--bench-speedup] [--verbose]\n");
 }
 
 bool parse_seeds(const std::string& s, runner::ChaosSweepConfig& cfg) {
@@ -78,9 +92,18 @@ bool parse_args(int argc, char** argv, Args& args) {
     const auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--seeds") {
+    if (arg == "--family") {
+      const char* v = value();
+      if (v == nullptr) return false;
+      if (std::strcmp(v, "chaos") == 0) args.family = Family::kChaos;
+      else if (std::strcmp(v, "ha") == 0) args.family = Family::kHa;
+      else if (std::strcmp(v, "service") == 0) args.family = Family::kService;
+      else return false;
+    } else if (arg == "--seeds") {
       const char* v = value();
       if (v == nullptr || !parse_seeds(v, args.sweep)) return false;
+      args.service.seed_lo = args.sweep.seed_lo;
+      args.service.seed_hi = args.sweep.seed_hi;
     } else if (arg == "--horizon") {
       const char* v = value();
       if (v == nullptr) return false;
@@ -110,6 +133,18 @@ bool parse_args(int argc, char** argv, Args& args) {
       } else if (std::strcmp(v, "both") != 0) {
         return false;
       }
+    } else if (arg == "--tenants") {
+      const char* v = value();
+      if (v == nullptr) return false;
+      args.service.tenants =
+          static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
+    } else if (arg == "--intents") {
+      const char* v = value();
+      if (v == nullptr) return false;
+      args.service.intents =
+          static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
+    } else if (arg == "--no-faults") {
+      args.service.faults = false;
     } else if (arg == "--replay") {
       const char* v = value();
       if (v == nullptr) return false;
@@ -122,8 +157,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.sweep.shrink = false;
     } else if (arg == "--misbehavior") {
       args.sweep.misbehavior = true;
-    } else if (arg == "--controller-faults") {
-      args.controller_faults = true;
     } else if (arg == "--workers") {
       const char* v = value();
       if (v == nullptr) return false;
@@ -206,8 +239,11 @@ int main(int argc, char** argv) {
 
   const auto sweep = [&](const runner::SweepOptions& opt,
                          const runner::ChaosSweepConfig& cfg) {
-    return args.controller_faults ? runner::run_ha_sweep(cfg, opt)
-                                  : runner::run_chaos_sweep(cfg, opt);
+    if (args.family == Family::kHa) return runner::run_ha_sweep(cfg, opt);
+    if (args.family == Family::kService) {
+      return runner::run_service_sweep(args.service, opt);
+    }
+    return runner::run_chaos_sweep(cfg, opt);
   };
 
   // Bench mode: a quiet serial pass first (no repro files, no narrative)
@@ -245,12 +281,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "chaos_soak: cannot write %s\n", report_path.c_str());
   }
 
-  if (args.controller_faults) {
-    std::printf("%zu HA run(s), %zu with violations; report at %s\n",
-                outcome.runs, outcome.violations, report_path.c_str());
-  } else {
-    std::printf("%zu run(s), %zu with violations; report at %s\n",
-                outcome.runs, outcome.violations, report_path.c_str());
-  }
+  const std::string rollbacks =
+      args.family == Family::kService
+          ? ", " + std::to_string(outcome.rollback_runs) + " exercised a rollback"
+          : "";
+  std::printf("%zu %s, %zu with violations%s; report at %s\n", outcome.runs,
+              args.family == Family::kHa ? "HA run(s)" : "run(s)",
+              outcome.violations, rollbacks.c_str(), report_path.c_str());
   return outcome.ok() ? 0 : 1;
 }
