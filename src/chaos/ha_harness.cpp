@@ -115,9 +115,7 @@ HaChaosResult run_ha_chaos(const HaChaosSpec& spec) {
   hopts.missed_heartbeats = 3;
   hopts.checkpoint_interval = millis(50);
   hopts.replication_delay = micros(150);
-  hopts.replay_exec.request_timeout = millis(200);
-  hopts.replay_exec.max_retries = 6;
-  hopts.replay_exec.backoff_base = millis(5);
+  hopts.replay_exec = recovery_preset().exec;
   ha::HaController ha(net, primary, hopts);
   ha.start();
 
@@ -130,15 +128,9 @@ HaChaosResult run_ha_chaos(const HaChaosSpec& spec) {
   sched::RequestDag dag;
   build_workload(base, net, tb, dag);
 
-  sched::TransactionOptions topts;
+  sched::TransactionOptions topts = recovery_preset();
   topts.policy = spec.policy;
   topts.txn_id = static_cast<std::uint32_t>(spec.seed % 0xfffff) + 1;
-  topts.exec.request_timeout = millis(200);
-  topts.exec.max_retries = 6;
-  topts.exec.backoff_base = millis(5);
-  topts.readback_timeout = millis(200);
-  topts.max_readback_retries = 6;
-  topts.max_reconcile_rounds = 6;
   topts = ha.stamp(topts);
 
   // Construction ships the write-ahead journal before the first wire frame.

@@ -21,6 +21,17 @@ switchsim::SwitchProfile quiet_profile(switchsim::SwitchProfile profile) {
   return profile;
 }
 
+sched::TransactionOptions recovery_preset() {
+  sched::TransactionOptions topts;
+  topts.exec.request_timeout = millis(200);
+  topts.exec.max_retries = 6;
+  topts.exec.backoff_base = millis(5);
+  topts.readback_timeout = millis(200);
+  topts.max_readback_retries = 6;
+  topts.max_reconcile_rounds = 6;
+  return topts;
+}
+
 namespace {
 
 namespace profiles = switchsim::profiles;
@@ -298,16 +309,10 @@ ChaosResult run_chaos(const ChaosSchedule& schedule) {
   // target for a late crash on a switch the transaction never touched.
   const auto baseline = snapshot_tables(net, all);
 
-  sched::TransactionOptions topts;
+  sched::TransactionOptions topts = recovery_preset();
   topts.policy = spec.policy;
   // Pinned so cookies replay identically; never 0 (0 draws a fresh id).
   topts.txn_id = static_cast<std::uint32_t>(spec.seed % 0xfffff) + 1;
-  topts.exec.request_timeout = millis(200);
-  topts.exec.max_retries = 6;
-  topts.exec.backoff_base = millis(5);
-  topts.readback_timeout = millis(200);
-  topts.max_readback_retries = 6;
-  topts.max_reconcile_rounds = 6;
 
   // Misbehavior mode routes the transaction through the TangoController so
   // the knowledge-health wiring is exercised end-to-end: every switch
@@ -354,13 +359,12 @@ ChaosResult run_chaos(const ChaosSchedule& schedule) {
   // Drain to quiescence: late scheduled faults (a crash landing after the
   // commit finished) still fire here. Crashes past this point are the
   // controller's standing re-sync duty, not the transaction's — record
-  // them and repair below, as a crash handler would.
+  // them and repair below, as a crash listener would.
   std::set<SwitchId> late_crashes;
-  net.set_crash_handler([&late_crashes](SwitchId id) {
-    late_crashes.insert(id);
-  });
+  const std::uint64_t late_watch = net.add_crash_listener(
+      [&late_crashes](SwitchId id) { late_crashes.insert(id); });
   net.run_all();
-  net.set_crash_handler({});
+  net.remove_crash_listener(late_watch);
 
   for (const auto id : all) {
     if (const auto* inj = net.fault_injector(id)) {

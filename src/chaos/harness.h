@@ -36,6 +36,11 @@ namespace tango::chaos {
 /// not the switch timing, so every divergence is attributable to faults.
 switchsim::SwitchProfile quiet_profile(switchsim::SwitchProfile profile);
 
+/// The recovery settings every chaos harness commits under: 200 ms request
+/// timeout, 6 retries from a 5 ms backoff, 200 ms readbacks with 6 retries,
+/// and up to 6 reconcile rounds.
+sched::TransactionOptions recovery_preset();
+
 /// Build the spec's workload DAG and lay down its pre-state on the testbed.
 /// Returns whether the verifier oracle may assert per-rule cookies (false
 /// for ACLs, whose first-match-wins overlap makes shadowing legitimate).

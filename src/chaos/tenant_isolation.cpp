@@ -18,14 +18,6 @@ namespace {
 
 namespace profiles = switchsim::profiles;
 
-/// Zero the profile's latency jitter (same rationale as harness.cpp: every
-/// divergence between runs must be attributable to the spec).
-switchsim::SwitchProfile quiet(switchsim::SwitchProfile profile) {
-  profile.costs.jitter_frac = 0;
-  profile.paths.jitter_frac = 0;
-  return profile;
-}
-
 /// One rule the run is expected to leave installed (or not).
 struct ExpectedRule {
   SwitchId sw = 0;
@@ -163,9 +155,9 @@ TenantChaosResult run_tenant_chaos(const TenantChaosSpec& raw) {
   Rng rng(spec.seed * 6271 + 11);
 
   net::Network net;
-  const SwitchId shared_sw = net.add_switch(quiet(profiles::switch1()));
+  const SwitchId shared_sw = net.add_switch(quiet_profile(profiles::switch1()));
   std::vector<SwitchId> priv(spec.n_tenants);
-  for (auto& id : priv) id = net.add_switch(quiet(profiles::switch1()));
+  for (auto& id : priv) id = net.add_switch(quiet_profile(profiles::switch1()));
   std::vector<SwitchId> all = {shared_sw};
   all.insert(all.end(), priv.begin(), priv.end());
 
@@ -176,12 +168,7 @@ TenantChaosResult run_tenant_chaos(const TenantChaosSpec& raw) {
   sopts.drr_quantum = 4;
   // Pinned so cookies replay identically; the service adds the intent id.
   sopts.txn_id_base = static_cast<std::uint32_t>(spec.seed % 0xfffff) + 0x100;
-  sopts.txn.exec.request_timeout = millis(200);
-  sopts.txn.exec.max_retries = 6;
-  sopts.txn.exec.backoff_base = millis(5);
-  sopts.txn.readback_timeout = millis(200);
-  sopts.txn.max_readback_retries = 6;
-  sopts.txn.max_reconcile_rounds = 6;
+  sopts.txn = recovery_preset();
 
   std::map<std::uint64_t, IntentExpect> intents;
   sopts.on_commit = [&intents](service::TenantId, std::uint64_t id,

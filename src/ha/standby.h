@@ -11,8 +11,7 @@
 //
 // Failover detection is a heartbeat watchdog: the threshold is
 // missed_heartbeats * expected-interval, where the expected interval is
-// learned from observed inter-arrival times via the same RttEstimator the
-// executor uses (satellite: adaptive deadlines instead of hand-tuned), with
+// learned from observed inter-arrival times via a net::RttEstimator, with
 // the configured interval as the fallback/ceiling.
 #pragma once
 

@@ -46,7 +46,6 @@ SwitchId Network::add_switch(const switchsim::SwitchProfile& profile,
         cb(outcome);
       });
   ep.channel->set_crash_handler([this, id]() {
-    if (crash_handler_) crash_handler_(id);
     // Snapshot tokens first: a listener may add/remove listeners (e.g. a
     // transaction aborting and deregistering) while we iterate.
     std::vector<std::uint64_t> tokens;
@@ -327,34 +326,24 @@ Network::EpochClaimResult Network::claim_epoch_sync(SwitchId id,
   return result;
 }
 
-namespace {
-
-/// Send a request and synchronously wait for the typed reply.
 template <typename Reply, typename Request>
-Reply request_reply(Network& net, sim::EventQueue& events,
-                    std::unordered_map<std::uint32_t,
-                                       std::function<void(const of::Message&)>>& cbs,
-                    std::uint32_t xid, ControlChannel& channel, Request req) {
-  (void)net;
+Reply Network::request_reply(SwitchId id, Request req) {
+  const std::uint32_t xid = next_xid();
   Reply out{};
   bool done = false;
-  cbs[xid] = [&](const of::Message& msg) {
+  reply_cbs_[xid] = [&](const of::Message& msg) {
     if (const auto* typed = std::get_if<Reply>(&msg.body)) out = *typed;
     done = true;
   };
-  channel.send(of::Message{xid, std::move(req)});
-  while (!done && events.step()) {
-  }
-  if (!done) {
+  endpoint(id).channel->send(of::Message{xid, std::move(req)});
+  if (!run_until_done(done, SimDuration{})) {
     // Request or reply lost to faults: return a default-constructed reply
     // rather than wedging the (sequential) caller.
-    cbs.erase(xid);
+    reply_cbs_.erase(xid);
     log::warn("network: stats request lost, returning empty reply");
   }
   return out;
 }
-
-}  // namespace
 
 void Network::join_flow_stats(std::uint32_t xid, of::FlowStatsReply& out,
                               bool& done) {
@@ -401,43 +390,32 @@ std::optional<of::FlowStatsReply> Network::try_flow_stats(SwitchId id,
 }
 
 of::TableStatsReply Network::table_stats_sync(SwitchId id) {
-  return request_reply<of::TableStatsReply>(*this, events_, reply_cbs_, next_xid(),
-                                            *endpoint(id).channel,
-                                            of::TableStatsRequest{});
+  return request_reply<of::TableStatsReply>(id, of::TableStatsRequest{});
 }
 
 of::FeaturesReply Network::features_sync(SwitchId id) {
-  return request_reply<of::FeaturesReply>(*this, events_, reply_cbs_, next_xid(),
-                                          *endpoint(id).channel,
-                                          of::FeaturesRequest{});
+  return request_reply<of::FeaturesReply>(id, of::FeaturesRequest{});
 }
 
 of::AggregateStatsReply Network::aggregate_stats_sync(SwitchId id,
                                                       const of::Match& filter) {
   of::AggregateStatsRequest req;
   req.match = filter;
-  return request_reply<of::AggregateStatsReply>(*this, events_, reply_cbs_,
-                                                next_xid(), *endpoint(id).channel,
-                                                std::move(req));
+  return request_reply<of::AggregateStatsReply>(id, std::move(req));
 }
 
 of::DescStatsReply Network::description_sync(SwitchId id) {
-  return request_reply<of::DescStatsReply>(*this, events_, reply_cbs_, next_xid(),
-                                           *endpoint(id).channel,
-                                           of::DescStatsRequest{});
+  return request_reply<of::DescStatsReply>(id, of::DescStatsRequest{});
 }
 
 of::PortStatsReply Network::port_stats_sync(SwitchId id, std::uint16_t port_no) {
   of::PortStatsRequest req;
   req.port_no = port_no;
-  return request_reply<of::PortStatsReply>(*this, events_, reply_cbs_, next_xid(),
-                                           *endpoint(id).channel, std::move(req));
+  return request_reply<of::PortStatsReply>(id, std::move(req));
 }
 
 of::GetConfigReply Network::get_config_sync(SwitchId id) {
-  return request_reply<of::GetConfigReply>(*this, events_, reply_cbs_, next_xid(),
-                                           *endpoint(id).channel,
-                                           of::GetConfigRequest{});
+  return request_reply<of::GetConfigReply>(id, of::GetConfigRequest{});
 }
 
 void Network::set_link_state(std::size_t link_index, bool up) {

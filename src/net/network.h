@@ -82,17 +82,11 @@ class Network {
   /// than at the next incidental controller interaction.
   void set_misbehavior(SwitchId id, switchsim::MisbehaviorProfile profile);
 
-  /// Observer for agent crashes (tables wiped), fired at crash time for
-  /// both injector-scheduled and forced crashes. One handler; the
-  /// transaction layer installs it for the duration of a commit.
+  /// Observers for agent crashes (tables wiped), fired at crash time for
+  /// both injector-scheduled and forced crashes, in ascending token order.
+  /// Each concurrently-running transaction registers its own listener for
+  /// the span of its commit. Returns a token for removal.
   using CrashHandler = std::function<void(SwitchId)>;
-  void set_crash_handler(CrashHandler h) { crash_handler_ = std::move(h); }
-
-  /// Crash observers that compose: each concurrently-running transaction
-  /// registers its own listener for the span of its commit (the single
-  /// set_crash_handler slot cannot be shared — two overlapping commits
-  /// would clobber each other's handler). Listeners fire after the single
-  /// handler, in ascending token order. Returns a token for removal.
   std::uint64_t add_crash_listener(CrashHandler h);
   void remove_crash_listener(std::uint64_t token);
 
@@ -250,6 +244,10 @@ class Network {
   /// Step the queue until `done`, the queue drains, or (if timeout != 0)
   /// the next event lies beyond now + timeout. Returns final `done`.
   bool run_until_done(const bool& done, SimDuration timeout);
+  /// Send `req` to switch `id` and step until its typed reply arrives or
+  /// the queue drains (a default-constructed reply then).
+  template <typename Reply, typename Request>
+  Reply request_reply(SwitchId id, Request req);
   /// Collect `xid`'s flow-stats reply into `out`, joining the parts of a
   /// multi-part reply until one arrives without kStatsReplyMore (`done`).
   void join_flow_stats(std::uint32_t xid, of::FlowStatsReply& out, bool& done);
@@ -269,7 +267,6 @@ class Network {
       probe_cbs_;
   std::unordered_map<std::uint32_t, std::function<void(const of::Message&)>> reply_cbs_;
   UnsolicitedHandler unsolicited_;
-  CrashHandler crash_handler_;
   std::map<std::uint64_t, CrashHandler> crash_listeners_;
   std::uint64_t next_crash_token_ = 1;
 };

@@ -1,12 +1,10 @@
-// Per-switch adaptive RTT estimation (Jacobson/Karels EWMA).
+// Per-key adaptive round-trip estimation (Jacobson/Karels EWMA).
 //
-// The executor's recovery machinery historically ran on one fixed
-// request_timeout knob. That is either too slow for a fast switch (dead
-// time before the first retry) or too twitchy for a slow one (spurious
-// timeouts that burn the retry budget). This estimator learns each
-// switch's control-plane round trip from traffic the controller already
-// generates — ECHO liveness probes and solo first-attempt flow_mod
-// completions — and derives a deadline the classic TCP way:
+// One fixed timeout is either too slow for a fast peer (dead time before
+// the first retry) or too twitchy for a slow one (spurious timeouts). This
+// estimator learns each key's round trip from observed samples (the HA
+// standby feeds it heartbeat inter-arrival times) and derives a deadline
+// the classic TCP way:
 //
 //   srtt   <- (1-alpha) * srtt + alpha * sample        (alpha = 1/8)
 //   rttvar <- (1-beta)  * rttvar + beta * |srtt-sample| (beta = 1/4)

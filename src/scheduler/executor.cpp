@@ -85,7 +85,7 @@ ExecutionReport refuse_cyclic(const RequestDag& dag,
 namespace detail {
 
 /// All execution state lives on the heap behind a shared_ptr: retry timers
-/// and echo timeouts stay scheduled after execute() returns (as no-ops once
+/// and echo timeouts stay scheduled after the run finishes (as no-ops once
 /// `finished` is set), so nothing they capture may sit on the stack. Each
 /// scheduled event holds the state alive via shared_from_this and bails out
 /// on its first line if the run is over.
@@ -94,6 +94,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
   const RequestDag& dag;
   UpdateScheduler& scheduler;
   const ExecutorOptions options;  // copied: caller's may be a temporary
+  /// The run's only tally; finish() adds its counts to the registry.
   ExecutionReport report;
 
   std::size_t n = 0;
@@ -101,40 +102,10 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
   /// Virtual time when the last request reached a terminal state.
   SimTime end{};
   bool finished = false;
-  /// False for execute_async: per-run counters live in local_metrics and
-  /// are mirrored into the telemetry registry at finish() — interleaved
-  /// runs sharing counters would corrupt each other's delta-derived reports.
-  bool shared_counters = true;
   /// Injector stats at start, for the report's fault deltas.
   std::map<SwitchId, net::FaultStats> faults_before;
 
-  // --- telemetry -----------------------------------------------------------
-  // All recovery/progress tallies live in a MetricsRegistry — the network's
-  // when telemetry is attached (so they surface in run reports), otherwise
-  // a private one — and ExecutionReport fields are *derived* from counter
-  // deltas when the run ends, never hand-incremented in parallel. The
-  // registry is cumulative across runs, hence the base_ snapshot.
   telemetry::Telemetry* tele = nullptr;
-  telemetry::MetricsRegistry local_metrics;
-  struct Ctr {
-    telemetry::Counter* issued = nullptr;
-    telemetry::Counter* rejected = nullptr;
-    telemetry::Counter* rejected_retryable = nullptr;
-    telemetry::Counter* rejected_fatal = nullptr;
-    telemetry::Counter* scheduling_rounds = nullptr;
-    telemetry::Counter* deadline_misses = nullptr;
-    telemetry::Counter* timeouts = nullptr;
-    telemetry::Counter* retries = nullptr;
-    telemetry::Counter* echo_probes = nullptr;
-    telemetry::Counter* failed_requests = nullptr;
-  } ctr;
-  /// Counter values at run start (this run's report = value - base).
-  struct CtrBase {
-    std::uint64_t issued = 0, rejected = 0, rejected_retryable = 0,
-                  rejected_fatal = 0, scheduling_rounds = 0,
-                  deadline_misses = 0, timeouts = 0, retries = 0,
-                  echo_probes = 0, failed_requests = 0;
-  } ctr0;
   telemetry::Histogram* latency_hist = nullptr;
   telemetry::Histogram* queue_hist = nullptr;
   /// Issue timestamps for request spans; sized only when telemetry is on.
@@ -149,11 +120,10 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
   std::vector<SimTime> obs_post;
   std::vector<SimTime> obs_busy;
   std::vector<std::uint8_t> obs_solo;
-  /// Post timestamps for RTT samples; sized only when options.rtt is set.
-  std::vector<SimTime> rtt_post;
 
   std::vector<std::size_t> remaining_preds;
-  /// True once sent — or tombstoned by a failure before sending.
+  /// True once sent or abandoned: the one record that a request has left
+  /// the ready set.
   std::vector<bool> issued;
   /// True once completed or failed: the request will never change again.
   std::vector<bool> terminal;
@@ -164,12 +134,16 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
   /// Echo-rescue rounds consumed.
   std::vector<std::size_t> rescued;
 
-  // Ready-but-unsent requests. The scheduler re-orders this pool whenever
-  // it changes; per-switch dispatch windows keep each agent fed while the
-  // backlog stays reorderable (this is Algorithm 3's continuous loop: the
-  // independent set is re-extracted and re-ordered as requests finish).
+  // Ready requests in the order they became ready. The scheduler re-orders
+  // this pool whenever it changes; per-switch dispatch windows keep each
+  // agent fed while the backlog stays reorderable (this is Algorithm 3's
+  // continuous loop: the independent set is re-extracted and re-ordered as
+  // requests finish). Sent and abandoned requests stay in `pending` until
+  // the next re-order drops them, so dispatch never erases from it.
   std::vector<std::size_t> pending;
   bool pending_dirty = true;
+  /// The scheduler's last order over `pending`, minus what dispatch has
+  /// since sent or abandoned.
   std::vector<std::size_t> ordered;
   std::map<SwitchId, std::size_t> in_flight;
   std::set<SwitchId> dead;
@@ -181,14 +155,6 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
 
   [[nodiscard]] bool retry_enabled() const {
     return options.request_timeout.ns() > 0;
-  }
-
-  /// Recovery deadline for traffic to `loc`: the fixed knob, tightened by
-  /// the per-switch RTT estimator when one is attached (see net/rtt.h).
-  [[nodiscard]] SimDuration deadline_for(SwitchId loc) const {
-    return options.rtt != nullptr
-               ? options.rtt->timeout_for(loc, options.request_timeout)
-               : options.request_timeout;
   }
 
   void init() {
@@ -211,27 +177,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     }
 
     tele = network.telemetry();
-    auto& reg =
-        tele != nullptr && shared_counters ? tele->metrics : local_metrics;
-    ctr.issued = &reg.counter("executor.issued");
-    ctr.rejected = &reg.counter("executor.rejected");
-    ctr.rejected_retryable = &reg.counter("executor.rejected_retryable");
-    ctr.rejected_fatal = &reg.counter("executor.rejected_fatal");
-    ctr.scheduling_rounds = &reg.counter("executor.scheduling_rounds");
-    ctr.deadline_misses = &reg.counter("executor.deadline_misses");
-    ctr.timeouts = &reg.counter("executor.timeouts");
-    ctr.retries = &reg.counter("executor.retries");
-    ctr.echo_probes = &reg.counter("executor.echo_probes");
-    ctr.failed_requests = &reg.counter("executor.failed_requests");
-    ctr0 = CtrBase{ctr.issued->value(),          ctr.rejected->value(),
-                   ctr.rejected_retryable->value(),
-                   ctr.rejected_fatal->value(),
-                   ctr.scheduling_rounds->value(), ctr.deadline_misses->value(),
-                   ctr.timeouts->value(),        ctr.retries->value(),
-                   ctr.echo_probes->value(),     ctr.failed_requests->value()};
     if (tele != nullptr) {
-      // Histograms always live in the shared registry: observes are
-      // per-event (not delta-derived), so interleaved runs compose fine.
       latency_hist = &tele->metrics.histogram(
           "executor.request_latency_ms",
           {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000});
@@ -245,80 +191,50 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       obs_busy.assign(n, SimTime{});
       obs_solo.assign(n, 0);
     }
-    if (options.rtt != nullptr) rtt_post.assign(n, SimTime{});
   }
 
-  /// Derive the report's tallies from the registry — the counters are the
-  /// single source of truth; the report is a per-run view over them.
-  void finalize_report() {
-    report.issued = ctr.issued->value() - ctr0.issued;
-    report.rejected = ctr.rejected->value() - ctr0.rejected;
-    report.rejected_retryable =
-        ctr.rejected_retryable->value() - ctr0.rejected_retryable;
-    report.rejected_fatal = ctr.rejected_fatal->value() - ctr0.rejected_fatal;
-    report.scheduling_rounds =
-        ctr.scheduling_rounds->value() - ctr0.scheduling_rounds;
-    report.deadline_misses =
-        ctr.deadline_misses->value() - ctr0.deadline_misses;
-    report.timeouts = ctr.timeouts->value() - ctr0.timeouts;
-    report.retries = ctr.retries->value() - ctr0.retries;
-    report.echo_probes = ctr.echo_probes->value() - ctr0.echo_probes;
-    report.failed_requests =
-        ctr.failed_requests->value() - ctr0.failed_requests;
-  }
-
-  /// Close the run: derive the report, account lost requests, mirror
-  /// locally-kept counters into the shared registry, record fault deltas
-  /// and the execute span. Idempotent; shared by execute() and
-  /// AsyncExecution::finish().
+  /// Close the run: account lost requests, record fault deltas, and with
+  /// telemetry attached add the run's counts to the registry and record the
+  /// execute span. Idempotent.
   void finish() {
     if (finished) return;
     finished = true;
-    if (n == 0) return;
-    finalize_report();
     report.makespan = (done_count == n ? end : network.now()) - start;
     report.lost_requests = n - done_count;
     assert(report.lost_requests == 0 || !retry_enabled());
-    if (tele != nullptr && !shared_counters) {
-      // Async runs tallied into local_metrics; fold the per-run deltas into
-      // the shared registry so its totals match what serial runs produce.
-      auto& reg = tele->metrics;
-      reg.counter("executor.issued").inc(report.issued);
-      reg.counter("executor.rejected").inc(report.rejected);
-      reg.counter("executor.rejected_retryable").inc(report.rejected_retryable);
-      reg.counter("executor.rejected_fatal").inc(report.rejected_fatal);
-      reg.counter("executor.scheduling_rounds").inc(report.scheduling_rounds);
-      reg.counter("executor.deadline_misses").inc(report.deadline_misses);
-      reg.counter("executor.timeouts").inc(report.timeouts);
-      reg.counter("executor.retries").inc(report.retries);
-      reg.counter("executor.echo_probes").inc(report.echo_probes);
-      reg.counter("executor.failed_requests").inc(report.failed_requests);
-    }
     report_fault_deltas(network, faults_before, report);
-    if (tele != nullptr) {
-      tele->trace.span(
-          "executor", "execute", telemetry::TraceCollector::kControllerLane,
-          start, network.now(),
-          {telemetry::arg("requests", std::uint64_t{n}),
-           telemetry::arg("issued", std::uint64_t{report.issued}),
-           telemetry::arg("failed", std::uint64_t{report.failed_requests}),
-           telemetry::arg("makespan_ns", report.makespan.ns())});
-      tele->metrics.counter("executor.runs").inc();
-      // Mirror the fault-injector deltas this run caused: the registry is
-      // where FaultStats surfaces for reports (crashes/stalls are counted
-      // at the channel as they happen).
-      tele->metrics.counter("faults.dropped_to_switch")
-          .inc(report.fault_dropped_to_switch);
-      tele->metrics.counter("faults.dropped_to_controller")
-          .inc(report.fault_dropped_to_controller);
-      tele->metrics.counter("faults.lost_to_crash")
-          .inc(report.fault_lost_to_crash);
-    }
+    if (tele == nullptr) return;
+    auto& reg = tele->metrics;
+    reg.counter("executor.issued").inc(report.issued);
+    reg.counter("executor.rejected").inc(report.rejected);
+    reg.counter("executor.rejected_retryable").inc(report.rejected_retryable);
+    reg.counter("executor.rejected_fatal").inc(report.rejected_fatal);
+    reg.counter("executor.scheduling_rounds").inc(report.scheduling_rounds);
+    reg.counter("executor.deadline_misses").inc(report.deadline_misses);
+    reg.counter("executor.timeouts").inc(report.timeouts);
+    reg.counter("executor.retries").inc(report.retries);
+    reg.counter("executor.echo_probes").inc(report.echo_probes);
+    reg.counter("executor.failed_requests").inc(report.failed_requests);
+    tele->trace.span(
+        "executor", "execute", telemetry::TraceCollector::kControllerLane,
+        start, network.now(),
+        {telemetry::arg("requests", std::uint64_t{n}),
+         telemetry::arg("issued", std::uint64_t{report.issued}),
+         telemetry::arg("failed", std::uint64_t{report.failed_requests}),
+         telemetry::arg("makespan_ns", report.makespan.ns())});
+    reg.counter("executor.runs").inc();
+    // Mirror the fault-injector deltas this run caused: the registry is
+    // where FaultStats surfaces for reports (crashes/stalls are counted at
+    // the channel as they happen).
+    reg.counter("faults.dropped_to_switch").inc(report.fault_dropped_to_switch);
+    reg.counter("faults.dropped_to_controller")
+        .inc(report.fault_dropped_to_controller);
+    reg.counter("faults.lost_to_crash").inc(report.fault_lost_to_crash);
   }
 
   void send(std::size_t id) {
     issued[id] = true;
-    ctr.issued->inc();
+    ++report.issued;
     attempts[id] = 1;
     ++in_flight[dag.request(id).location];
     const SimDuration queued = network.now() - ready_time[id];
@@ -338,15 +254,13 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       obs_busy[id] = network.channel(req.location).agent_busy_until();
       obs_solo[id] = in_flight[req.location] == 1 ? 1 : 0;
     }
-    if (options.rtt != nullptr) rtt_post[id] = network.now();
-    network.post_flow_mod_ex(req.location,
-                             to_flow_mod(req, options.default_priority),
+    network.post_flow_mod_ex(req.location, to_flow_mod(req),
                              [self, id](const net::Network::FlowModResult& res) {
                                self->complete(id, res);
                              });
     if (retry_enabled()) {
       network.events().schedule_after(
-          deadline_for(req.location),
+          options.request_timeout,
           [self, id, gen]() { self->on_timeout(id, gen); });
     }
   }
@@ -368,43 +282,22 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
     if (finished || terminal[id]) return;
     const bool accepted = res.accepted;
     const SimTime at = res.completed_at;
-    if (!accepted) {
-      const bool retryable = rejection_retryable(res);
-      if (retryable) {
-        ctr.rejected_retryable->inc();
-      } else {
-        ctr.rejected_fatal->inc();
-      }
-      if (retryable && options.retry_rejections && retry_enabled() &&
-          attempts[id] <= options.max_retries &&
-          dead.count(dag.request(id).location) == 0) {
-        // Mirror the timeout-retry path: back off, re-post, same budget.
-        const SimDuration backoff =
-            options.backoff_base * (std::int64_t{1} << (attempts[id] - 1));
-        ++attempts[id];
-        ctr.retries->inc();
-        auto self = shared_from_this();
-        network.events().schedule_after(backoff, [self, id]() {
-          if (self->finished || self->terminal[id]) return;
-          if (self->dead.count(self->dag.request(id).location) != 0) {
-            self->fail_request(id);
-            self->dispatch();
-            return;
-          }
-          self->post_attempt(id);
-        });
-        return;
-      }
-    }
     terminal[id] = true;
     ++done_count;
     if (done_count == n) end = network.now();
-    if (!accepted) ctr.rejected->inc();
+    if (!accepted) {
+      ++report.rejected;
+      if (rejection_retryable(res)) {
+        ++report.rejected_retryable;
+      } else {
+        ++report.rejected_fatal;
+      }
+    }
     const auto& req = dag.request(id);
     auto& fl = in_flight[req.location];
     if (fl > 0) --fl;
     if (req.deadline.has_value() && at - start > *req.deadline) {
-      ctr.deadline_misses->inc();
+      ++report.deadline_misses;
     }
     if (tele != nullptr) {
       tele->trace.span(
@@ -429,12 +322,6 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
                                     op_cost_ms(hint->second, req.type));
       }
     }
-    if (accepted && options.rtt != nullptr && attempts[id] == 1) {
-      // Karn's rule: only never-retransmitted requests are unambiguous RTT
-      // samples. Queueing behind sibling requests is deliberately included —
-      // the deadline must cover time-to-answer under current load.
-      options.rtt->observe(req.location, at - rtt_post[id]);
-    }
     if (options.on_complete) options.on_complete(id, accepted);
     for (std::size_t succ : dag.successors(id)) {
       if (remaining_preds[succ] > 0 && --remaining_preds[succ] == 0 &&
@@ -450,7 +337,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
   void on_timeout(std::size_t id, std::uint64_t gen) {
     if (finished || terminal[id]) return;
     if (gen != attempt_gen[id]) return;  // a newer attempt superseded this one
-    ctr.timeouts->inc();
+    ++report.timeouts;
     const SwitchId loc = dag.request(id).location;
     if (tele != nullptr) {
       tele->trace.instant("executor", "timeout", loc, network.now(),
@@ -466,7 +353,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       const SimDuration backoff =
           options.backoff_base * (std::int64_t{1} << (attempts[id] - 1));
       ++attempts[id];
-      ctr.retries->inc();
+      ++report.retries;
       if (tele != nullptr) {
         tele->trace.instant("executor", "retry", loc, network.now(),
                             {telemetry::arg("id", std::uint64_t{id}),
@@ -506,26 +393,19 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       return;
     }
     ++probe->sent;
-    ctr.echo_probes->inc();
+    ++report.echo_probes;
     if (tele != nullptr) {
       tele->trace.instant("executor", "echo_probe", loc, network.now(),
                           {telemetry::arg("id", std::uint64_t{id})});
     }
     auto self = shared_from_this();
-    const SimTime echo_sent = network.now();
-    const std::uint32_t xid =
-        network.post_echo(loc, [self, loc, id, probe, echo_sent]() {
-          if (self->finished || probe->answered) return;
-          probe->answered = true;
-          if (self->options.rtt != nullptr) {
-            // Liveness echoes double as free RTT samples (the pure channel
-            // round trip, no flow_mod processing on top).
-            self->options.rtt->observe(loc, self->network.now() - echo_sent);
-          }
-          self->on_alive(loc, id);
-        });
+    const std::uint32_t xid = network.post_echo(loc, [self, loc, id, probe]() {
+      if (self->finished || probe->answered) return;
+      probe->answered = true;
+      self->on_alive(loc, id);
+    });
     network.events().schedule_after(
-        deadline_for(loc), [self, loc, id, probe, xid]() {
+        options.request_timeout, [self, loc, id, probe, xid]() {
           if (self->finished || probe->answered) return;
           self->network.cancel_reply(xid);
           // A single echo can be lost to the same noise that stranded the
@@ -549,7 +429,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       // The connection works; the losses were transient. Fresh round.
       ++rescued[id];
       attempts[id] = 1;
-      ctr.retries->inc();
+      ++report.retries;
       log::warn("executor: switch " + std::to_string(loc) +
                 " alive, rescuing request " + std::to_string(id));
       post_attempt(id);
@@ -567,14 +447,13 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       auto& fl = in_flight[loc];
       if (fl > 0) --fl;
     } else {
-      issued[id] = true;  // tombstone: never send it
-      std::erase(pending, id);
+      issued[id] = true;  // abandoned: never send it
       pending_dirty = true;
     }
     terminal[id] = true;
     ++done_count;
     if (done_count == n) end = network.now();
-    ctr.failed_requests->inc();
+    ++report.failed_requests;
     if (tele != nullptr) {
       if (was_issued) {
         // The lifecycle span still closes — failure is an end state, not
@@ -614,29 +493,26 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
   void dispatch() {
     if (finished) return;
     if (pending_dirty) {
-      ctr.scheduling_rounds->inc();
+      ++report.scheduling_rounds;
+      std::erase_if(pending, [&](std::size_t id) { return issued[id]; });
       ordered = scheduler.order(dag, pending);
       pending_dirty = false;
     }
-    for (std::size_t& id : ordered) {
-      if (id == SIZE_MAX) continue;  // tombstone: already sent
-      if (issued[id]) {
-        id = SIZE_MAX;
-        continue;
-      }
+    // Refill windows in scheduler order. Requests that stay ready are kept,
+    // in order, for the next call; sent and abandoned ones are dropped.
+    std::size_t kept = 0;
+    for (const std::size_t id : ordered) {
+      if (issued[id]) continue;
       const SwitchId loc = dag.request(id).location;
       if (dead.count(loc) != 0) {
-        const std::size_t doomed = id;
-        id = SIZE_MAX;
-        fail_request(doomed);
-        continue;
+        fail_request(id);
+      } else if (in_flight[loc] >= options.per_switch_window) {
+        ordered[kept++] = id;
+      } else {
+        send(id);
       }
-      if (in_flight[loc] >= options.per_switch_window) continue;
-      const std::size_t to_send = id;
-      id = SIZE_MAX;
-      std::erase(pending, to_send);
-      send(to_send);
     }
+    ordered.resize(kept);
 
     if (options.speculative_dependents) {
       // Concurrent-dependent extension (§6): a blocked request may be
@@ -647,7 +523,7 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       auto est_duration = [&](std::size_t rid) {
         const auto& req = dag.request(rid);
         const auto it = options.cost_hints.find(req.location);
-        if (it == options.cost_hints.end()) return options.default_op_estimate;
+        if (it == options.cost_hints.end()) return kDefaultOpEstimate;
         return millis(op_cost_ms(it->second, req.type));
       };
       auto est_finish = [&](std::size_t rid) {
@@ -691,19 +567,11 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
 ExecutionReport execute(net::Network& network, const RequestDag& dag,
                         UpdateScheduler& scheduler,
                         const ExecutorOptions& options) {
-  if (dag.size() == 0) return {};
-  if (!dag.is_acyclic()) return refuse_cyclic(dag, options);
-
-  auto st =
-      std::make_shared<detail::ExecState>(network, dag, scheduler, options);
-  st->faults_before = snapshot_faults(network, dag);
-  st->init();
-  st->dispatch();
-  while (st->done_count < st->n && network.events().step()) {
+  AsyncExecution run = execute_async(network, dag, scheduler, options);
+  while (!run.done() && network.events().step()) {
   }
   // Timers still queued beyond this point hold the state alive and no-op.
-  st->finish();
-  return st->report;
+  return run.finish();
 }
 
 bool AsyncExecution::done() const {
@@ -711,8 +579,9 @@ bool AsyncExecution::done() const {
 }
 
 const ExecutionReport& AsyncExecution::finish() {
+  static const ExecutionReport kNothingRan;
   if (refused_.has_value()) return *refused_;
-  assert(state_ != nullptr);
+  if (state_ == nullptr) return kNothingRan;
   state_->finish();
   return state_->report;
 }
@@ -737,7 +606,6 @@ AsyncExecution execute_async(net::Network& network, const RequestDag& dag,
 
   auto st =
       std::make_shared<detail::ExecState>(network, dag, scheduler, options);
-  st->shared_counters = false;
   st->faults_before = snapshot_faults(network, dag);
   st->init();
   st->dispatch();

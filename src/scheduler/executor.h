@@ -28,7 +28,6 @@
 #include <set>
 
 #include "net/network.h"
-#include "net/rtt.h"
 #include "scheduler/request.h"
 #include "scheduler/schedulers.h"
 
@@ -37,6 +36,12 @@ namespace tango::sched {
 namespace detail {
 struct ExecState;
 }  // namespace detail
+
+/// Priority of a request that carries none and was not given one by
+/// priority enforcement.
+inline constexpr std::uint16_t kDefaultPriority = 0x8000;
+/// Speculation's estimated op duration on a switch without a cost hint.
+inline constexpr SimDuration kDefaultOpEstimate = millis(1);
 
 struct ExecutorOptions {
   /// Issue dependents early when the timing estimate allows (guard below):
@@ -48,11 +53,8 @@ struct ExecutorOptions {
   bool speculative_dependents = false;
   SimDuration guard = millis(5);
   /// Measured per-op costs used for the speculation estimates (from
-  /// TangoController::learn). Unlisted switches use `default_op_estimate`.
+  /// TangoController::learn). Unlisted switches use kDefaultOpEstimate.
   std::map<SwitchId, core::OpCostEstimate> cost_hints;
-  SimDuration default_op_estimate = millis(1);
-  /// Priority used when a request carries none and enforcement didn't run.
-  std::uint16_t default_priority = 0x8000;
   /// Commands in flight per switch. Small windows keep the agent fed over
   /// the channel latency while leaving the backlog at the controller where
   /// the scheduler can still re-order it.
@@ -71,20 +73,6 @@ struct ExecutorOptions {
   /// After an ECHO proves the switch alive, the request gets a fresh round
   /// of retries — at most this many times before the request is failed.
   std::size_t max_echo_rescues = 2;
-  /// Re-issue requests the switch rejected with a *retryable* error class
-  /// (today: OFPET_FLOW_MOD_FAILED / ALL_TABLES_FULL — transient table
-  /// pressure can clear; EPERM or a bad command never will). Uses the same
-  /// backoff and attempt budget as timeout retries. Off by default so
-  /// existing runs are bit-identical: rejections stay terminal.
-  bool retry_rejections = false;
-  /// Per-switch adaptive deadlines (non-owning; see net/rtt.h). When set,
-  /// every request/echo deadline becomes rtt->timeout_for(switch,
-  /// request_timeout) — learned from echo round trips and solo
-  /// first-attempt flow_mod completions, never exceeding request_timeout.
-  /// Null (the default) keeps the fixed knob and a bit-identical schedule:
-  /// adaptive deadlines move when timer events fire, which shifts the
-  /// post-drain virtual clock, so the estimator is strictly opt-in.
-  net::RttEstimator* rtt = nullptr;
 
   // --- knowledge-health observer -------------------------------------------
   /// Fires on each clean first-attempt acceptance for a switch with a cost
@@ -106,19 +94,17 @@ struct ExecutorOptions {
   std::function<void(std::size_t id)> on_failed;
 };
 
-// Progress/recovery tallies are kept in a telemetry::MetricsRegistry during
-// the run (the network's registry when telemetry is attached, a private one
-// otherwise) under "executor.*" names; the report's count fields are
-// derived from counter deltas when execute() returns — one source of truth,
-// two views.
+// The report is the executor's only tally: every count below is kept on it
+// during the run. When telemetry is attached, finish() adds the run's counts
+// to the network's registry under the same names ("executor.issued",
+// "executor.retries", ...), so registry totals are the sum over runs.
 struct ExecutionReport {
   SimDuration makespan{};
   std::size_t issued = 0;
   /// Requests whose *terminal* state is a rejection.
   std::size_t rejected = 0;
-  /// Rejection completions by error class (counts every rejection the
-  /// switch returned, including ones a retry later recovered — so
-  /// rejected_retryable + rejected_fatal >= rejected).
+  /// Rejections by error class. Rejections are terminal, so
+  /// rejected_retryable + rejected_fatal == rejected.
   std::size_t rejected_retryable = 0;
   std::size_t rejected_fatal = 0;
   std::size_t scheduling_rounds = 0;
@@ -168,6 +154,8 @@ struct ExecutionReport {
   std::size_t fault_dropped_to_controller = 0;
   /// Switches whose agent crashed (tables wiped) during this execution.
   std::set<SwitchId> crashed_switches;
+
+  bool operator==(const ExecutionReport&) const = default;
 };
 
 ExecutionReport execute(net::Network& network, const RequestDag& dag,
@@ -180,11 +168,9 @@ ExecutionReport execute(net::Network& network, const RequestDag& dag,
 /// disjoint switch sets interleave in virtual time. Poll done() between
 /// event-queue steps; call finish() once afterwards to finalize the report.
 ///
-/// Concurrency note: an async execution keeps its per-run progress counters
-/// in a private registry and mirrors the final deltas into the network's
-/// telemetry registry at finish() — two interleaved runs would otherwise
-/// corrupt each other's counter-delta reports. Registry end totals, trace
-/// events, and histograms are identical to the synchronous path's.
+/// Each execution counts on its own report and adds it to the network's
+/// telemetry registry only at finish(), so interleaved runs cannot corrupt
+/// each other's counts.
 class AsyncExecution {
  public:
   AsyncExecution() = default;
@@ -194,9 +180,9 @@ class AsyncExecution {
   [[nodiscard]] bool done() const;
 
   /// Finalize the report (makespan, lost requests, fault deltas, telemetry
-  /// span) and return it. Idempotent. Calling before done() counts the
-  /// still-pending requests as lost — only do that once the event queue has
-  /// drained.
+  /// counters and span) and return it. Idempotent; an empty handle returns
+  /// an empty report. Calling before done() counts the still-pending
+  /// requests as lost — only do that once the event queue has drained.
   const ExecutionReport& finish();
 
   /// Kill the execution in place: every still-pending timer, retry and
@@ -205,10 +191,6 @@ class AsyncExecution {
   /// in-flight frames already on the wire still reach the switches. No-op
   /// on an empty or finished handle.
   void abort();
-
-  [[nodiscard]] bool valid() const {
-    return state_ != nullptr || refused_.has_value();
-  }
 
  private:
   friend AsyncExecution execute_async(net::Network& network,
@@ -223,7 +205,7 @@ class AsyncExecution {
 /// Start executing `dag` without pumping the event queue to completion —
 /// the building block for dispatching independent updates concurrently.
 /// `dag` and `scheduler` must outlive the returned handle's finish().
-/// execute() is exactly execute_async + pump-until-done + finish. A cyclic
+/// execute() is execute_async, then pump-until-done, then finish. A cyclic
 /// DAG is refused by both: nothing is issued, on_failed fires for every
 /// request, and the report (from finish()) has cyclic_dag set.
 AsyncExecution execute_async(net::Network& network, const RequestDag& dag,
@@ -232,6 +214,6 @@ AsyncExecution execute_async(net::Network& network, const RequestDag& dag,
 
 /// Build the flow_mod a request maps to.
 of::FlowMod to_flow_mod(const SwitchRequest& request,
-                        std::uint16_t default_priority = 0x8000);
+                        std::uint16_t default_priority = kDefaultPriority);
 
 }  // namespace tango::sched

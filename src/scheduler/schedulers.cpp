@@ -75,37 +75,6 @@ std::vector<std::size_t> BasicTangoScheduler::order(const RequestDag& dag,
                      });
   }
 
-  if (options_.prefix_lookahead && ready.size() > 4) {
-    // Non-greedy batching extension: compare "issue everything" against
-    // "issue a prefix, then the batch its completion unlocks". We estimate
-    // with serial per-switch costs; the executor re-invokes order() when
-    // the prefix completes, so truncating here is sufficient.
-    const double full_cost = estimate_makespan_ms(dag, ready);
-    for (const std::size_t prefix_len : {ready.size() / 4, ready.size() / 2}) {
-      if (prefix_len == 0) continue;
-      std::vector<std::size_t> prefix(ready.begin(),
-                                      ready.begin() + static_cast<long>(prefix_len));
-      // Requests unlocked once the prefix completes (all preds inside).
-      std::vector<std::size_t> unlocked;
-      for (std::size_t id : prefix) {
-        for (std::size_t succ : dag.successors(id)) {
-          const auto& preds = dag.predecessors(succ);
-          const bool all_in_prefix = std::all_of(
-              preds.begin(), preds.end(), [&](std::size_t p) {
-                return std::find(prefix.begin(), prefix.end(), p) != prefix.end();
-              });
-          if (all_in_prefix) unlocked.push_back(succ);
-        }
-      }
-      if (unlocked.empty()) continue;
-      std::vector<std::size_t> combined = prefix;
-      combined.insert(combined.end(), unlocked.begin(), unlocked.end());
-      const double staged_cost = estimate_makespan_ms(dag, combined);
-      if (staged_cost < full_cost * 0.9) {
-        return prefix;  // issue only the prefix; executor will call again
-      }
-    }
-  }
   return ready;
 }
 

@@ -55,9 +55,6 @@ struct TangoSchedulerOptions {
   /// Sort the ADD group by priority, in the add direction the measured
   /// costs favour.
   bool sort_priorities = true;
-  /// Evaluate issuing a prefix of the batch first (non-greedy batching
-  /// extension): prefixes that unlock cheaper successors can win.
-  bool prefix_lookahead = false;
   /// Hoist requests that carry install_by deadlines to the front of the
   /// batch (earliest-deadline-first among themselves). Trades some ordering
   /// efficiency for deadline compliance.
@@ -75,7 +72,7 @@ class BasicTangoScheduler : public UpdateScheduler {
 
   /// Estimated makespan (max over switches of serial cost) of issuing the
   /// given requests, with adds in ascending or descending priority order.
-  /// The one per-switch score behind order() and the lookahead extension.
+  /// The one per-switch score behind order().
   [[nodiscard]] double estimate_makespan_ms(const RequestDag& dag,
                                             const std::vector<std::size_t>& order,
                                             bool adds_ascending = true) const;

@@ -72,10 +72,7 @@ UpdateTransaction::UpdateTransaction(net::Network& network, RequestDag dag,
   }
 
   // --- pre-update snapshot ------------------------------------------------
-  ReconcilerOptions ropts;
-  ropts.readback_timeout = options_.readback_timeout;
-  ropts.max_readback_retries = options_.max_readback_retries;
-  Reconciler reader(network_, ropts);
+  Reconciler reader(network_, reconciler_options());
   ReconcileStats snap;
   for (const SwitchId sw : affected) {
     auto image = reader.read_table(sw, snap);
@@ -117,7 +114,7 @@ UpdateTransaction::UpdateTransaction(net::Network& network, RequestDag dag,
 
   for (const std::size_t id : order) {
     const SwitchRequest& req = dag_.request(id);
-    const of::FlowMod fm = to_flow_mod(req, options_.exec.default_priority);
+    const of::FlowMod fm = to_flow_mod(req);
     TableImage& image = post_[req.location];
     const TableImage& pre = pre_[req.location];
     auto& touched = touched_[req.location];
@@ -257,7 +254,7 @@ const TransactionReport& UpdateTransaction::finish_commit() {
     if (options_.on_report) options_.on_report(report_);
     return report_;
   };
-  report_.exec = async_.valid() ? async_.finish() : ExecutionReport{};
+  report_.exec = async_.finish();
   network_.remove_crash_listener(crash_token_);
   crash_token_ = 0;
 
@@ -328,13 +325,9 @@ void UpdateTransaction::abandon() {
 void UpdateTransaction::verify_readback(
     const std::map<SwitchId, TableImage>& want_images, bool forward) {
   const SimTime phase_begin = network_.now();
-  ReconcilerOptions ropts;
-  ropts.readback_timeout = options_.readback_timeout;
-  ropts.max_readback_retries = options_.max_readback_retries;
-  ropts.scope = scope_predicate();
-  Reconciler reader(network_, ropts);
+  Reconciler reader(network_, reconciler_options());
   ReconcileStats snap;
-  std::map<SwitchId, TableImage> repair;
+  std::map<SwitchId, TableImage> repair_to;
   for (const SwitchId sw : options_.readback_verify) {
     const auto want = want_images.find(sw);
     if (want == want_images.end()) continue;  // transaction didn't touch it
@@ -355,7 +348,7 @@ void UpdateTransaction::verify_readback(
     }
     if (mismatches > 0) {
       report_.readback_mismatches[sw] = mismatches;
-      repair[sw] = want->second;
+      repair_to[sw] = want->second;
       log::warn("transaction " + std::to_string(txn_id_) + ": switch " +
                 std::to_string(sw) + " diverged from " +
                 (forward ? "post" : "pre") + " image (" +
@@ -366,36 +359,11 @@ void UpdateTransaction::verify_readback(
   report_.readback_requests += snap.readback_requests;
   report_.readback_lost += snap.readback_lost;
 
-  if (!repair.empty()) {
+  if (!repair_to.empty()) {
     // The switch lied (e.g. silent install drops): converge it to the post
     // image with the same attribution/order machinery a crash would use.
     report_.reconciled = true;
-    Reconciler::Author author = [this, forward](SwitchId sw,
-                                                const RuleImage& rule)
-        -> std::optional<std::size_t> {
-      if (txn_of_cookie(rule.cookie) == txn_key()) {
-        const auto id =
-            static_cast<std::size_t>(static_cast<std::uint32_t>(rule.cookie));
-        if (id < dag_.size()) return id;
-      }
-      const std::string key = rule_key(rule.match, rule.priority);
-      const auto& attribution = forward ? writers_ : touched_;
-      const auto per_switch = attribution.find(sw);
-      if (per_switch != attribution.end()) {
-        const auto hit = per_switch->second.find(key);
-        if (hit != per_switch->second.end()) return hit->second;
-      }
-      return std::nullopt;
-    };
-    Reconciler::MustPrecede precede = [this, forward](std::size_t a,
-                                                      std::size_t b) {
-      return forward ? reaches(a, b) : reaches(b, a);
-    };
-    ReconcilerOptions fix = ropts;
-    fix.max_rounds = options_.max_reconcile_rounds;
-    fix.exec = options_.exec;
-    Reconciler reconciler(network_, fix);
-    const ReconcileStats stats = reconciler.run(repair, author, precede);
+    const ReconcileStats stats = repair(repair_to, forward);
     report_.reconcile_rounds += stats.rounds;
     report_.repairs_issued += stats.repairs_issued;
     report_.stale_rules_removed += stats.stale_rules_removed;
@@ -425,41 +393,8 @@ void UpdateTransaction::reconcile() {
   report_.reconciled = true;
   const bool forward = options_.policy == RecoveryPolicy::kRollForward;
   report_.rolled_back = !forward;
-  const auto& desired = forward ? post_ : pre_;
 
-  Reconciler::Author author = [this, forward](
-                                  SwitchId sw,
-                                  const RuleImage& rule) -> std::optional<std::size_t> {
-    // Rules carrying this transaction's cookie map straight to their node.
-    if (txn_of_cookie(rule.cookie) == txn_key()) {
-      const auto id = static_cast<std::size_t>(
-          static_cast<std::uint32_t>(rule.cookie));
-      if (id < dag_.size()) return id;
-    }
-    const std::string key = rule_key(rule.match, rule.priority);
-    const auto& attribution = forward ? writers_ : touched_;
-    const auto per_switch = attribution.find(sw);
-    if (per_switch != attribution.end()) {
-      const auto hit = per_switch->second.find(key);
-      if (hit != per_switch->second.end()) return hit->second;
-    }
-    return std::nullopt;
-  };
-  Reconciler::MustPrecede precede = [this, forward](std::size_t a,
-                                                    std::size_t b) {
-    // Roll-forward re-installs in dependency order; rollback unwinds in
-    // reverse.
-    return forward ? reaches(a, b) : reaches(b, a);
-  };
-
-  ReconcilerOptions ropts;
-  ropts.readback_timeout = options_.readback_timeout;
-  ropts.max_readback_retries = options_.max_readback_retries;
-  ropts.max_rounds = options_.max_reconcile_rounds;
-  ropts.exec = options_.exec;
-  ropts.scope = scope_predicate();
-  Reconciler reconciler(network_, ropts);
-  const ReconcileStats stats = reconciler.run(desired, author, precede);
+  const ReconcileStats stats = repair(forward ? post_ : pre_, forward);
 
   report_.reconcile_rounds = stats.rounds;
   report_.repairs_issued = stats.repairs_issued;
@@ -540,12 +475,48 @@ bool UpdateTransaction::in_scope(SwitchId sw, const RuleImage& rule) const {
   return false;
 }
 
-std::function<bool(SwitchId, const RuleImage&)>
-UpdateTransaction::scope_predicate() const {
-  if (!options_.scope_to_footprint) return {};
-  return [this](SwitchId sw, const RuleImage& rule) {
-    return in_scope(sw, rule);
+ReconcilerOptions UpdateTransaction::reconciler_options() const {
+  ReconcilerOptions ropts;
+  ropts.readback_timeout = options_.readback_timeout;
+  ropts.max_readback_retries = options_.max_readback_retries;
+  ropts.max_rounds = options_.max_reconcile_rounds;
+  ropts.exec = options_.exec;
+  if (options_.scope_to_footprint) {
+    ropts.scope = [this](SwitchId sw, const RuleImage& rule) {
+      return in_scope(sw, rule);
+    };
+  }
+  return ropts;
+}
+
+ReconcileStats UpdateTransaction::repair(
+    const std::map<SwitchId, TableImage>& desired, bool forward) {
+  Reconciler::Author author = [this, forward](SwitchId sw,
+                                              const RuleImage& rule)
+      -> std::optional<std::size_t> {
+    // Rules carrying this transaction's cookie map straight to their node.
+    if (txn_of_cookie(rule.cookie) == txn_key()) {
+      const auto id =
+          static_cast<std::size_t>(static_cast<std::uint32_t>(rule.cookie));
+      if (id < dag_.size()) return id;
+    }
+    const std::string key = rule_key(rule.match, rule.priority);
+    const auto& attribution = forward ? writers_ : touched_;
+    const auto per_switch = attribution.find(sw);
+    if (per_switch != attribution.end()) {
+      const auto hit = per_switch->second.find(key);
+      if (hit != per_switch->second.end()) return hit->second;
+    }
+    return std::nullopt;
   };
+  Reconciler::MustPrecede precede = [this, forward](std::size_t a,
+                                                    std::size_t b) {
+    // Roll-forward re-installs in dependency order; rollback unwinds in
+    // reverse.
+    return forward ? reaches(a, b) : reaches(b, a);
+  };
+  Reconciler reconciler(network_, reconciler_options());
+  return reconciler.run(desired, author, precede);
 }
 
 }  // namespace tango::sched

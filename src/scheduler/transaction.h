@@ -246,19 +246,25 @@ class UpdateTransaction {
   /// Readback verification for options.readback_verify switches: diff
   /// actual tables against `want_images` (the post image on the fast path
   /// and after roll-forward, the pre image after rollback), repair
-  /// divergence through the reconciler. `forward` picks the attribution
-  /// map and dependency direction, mirroring reconcile().
+  /// divergence through repair(). `forward` as for repair().
   void verify_readback(const std::map<SwitchId, TableImage>& want_images,
                        bool forward);
+  /// Reconciler settings every read and repair of this transaction uses:
+  /// the readback budget, repair rounds and executor, and the footprint
+  /// scope when scoping is on.
+  [[nodiscard]] ReconcilerOptions reconciler_options() const;
+  /// Converge `desired` through the reconciler. Rules are attributed to
+  /// their DAG node by cookie, else by key through the post-image writers
+  /// (`forward`) or the pre-image destroyers (rollback); repairs follow the
+  /// DAG's order forward and unwind it in reverse.
+  ReconcileStats repair(const std::map<SwitchId, TableImage>& desired,
+                        bool forward);
   /// True when original DAG node `a` must complete before `b` (rollback
   /// reverses the arguments). Lazily computes the reachability closure.
   bool reaches(std::size_t a, std::size_t b);
   /// Footprint-scope membership (options_.scope_to_footprint): ours by
   /// cookie, or overlapping one of our matches on that switch.
   [[nodiscard]] bool in_scope(SwitchId sw, const RuleImage& rule) const;
-  /// ReconcilerOptions::scope predicate when scoping is on; empty otherwise.
-  [[nodiscard]] std::function<bool(SwitchId, const RuleImage&)>
-  scope_predicate() const;
 
   net::Network& network_;
   RequestDag dag_;

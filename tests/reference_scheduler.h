@@ -142,32 +142,6 @@ class ReferenceTangoScheduler : public UpdateScheduler {
                        });
     }
 
-    if (options_.prefix_lookahead && ordered.size() > 4) {
-      const double full_cost = estimate_makespan_ms(dag, ordered);
-      for (const std::size_t prefix_len : {ordered.size() / 4, ordered.size() / 2}) {
-        if (prefix_len == 0) continue;
-        std::vector<std::size_t> prefix(
-            ordered.begin(), ordered.begin() + static_cast<long>(prefix_len));
-        std::vector<std::size_t> unlocked;
-        for (std::size_t id : prefix) {
-          for (std::size_t succ : dag.successors(id)) {
-            const auto& preds = dag.predecessors(succ);
-            const bool all_in_prefix = std::all_of(
-                preds.begin(), preds.end(), [&](std::size_t p) {
-                  return std::find(prefix.begin(), prefix.end(), p) != prefix.end();
-                });
-            if (all_in_prefix) unlocked.push_back(succ);
-          }
-        }
-        if (unlocked.empty()) continue;
-        std::vector<std::size_t> combined = prefix;
-        combined.insert(combined.end(), unlocked.begin(), unlocked.end());
-        const double staged_cost = estimate_makespan_ms(dag, combined);
-        if (staged_cost < full_cost * 0.9) {
-          return prefix;
-        }
-      }
-    }
     return ordered;
   }
 

@@ -202,6 +202,17 @@ TEST(NetworkTest, FlowStatsReadbackJoinsMultiPartReplies) {
   }
 }
 
+// wall_ns() covers every stretch of event-loop stepping, including the
+// synchronous stats and handshake requests.
+TEST(NetworkTest, WallClockCountsSynchronousStatsRequests) {
+  Network net;
+  const auto sw = net.add_switch(switch1());
+  const auto before = net.wall_ns();
+  const auto reply = net.table_stats_sync(sw);
+  EXPECT_FALSE(reply.entries.empty());
+  EXPECT_GT(net.wall_ns(), before);
+}
+
 TEST(NetworkTest, SwitchesAreIndependentEndpoints) {
   Network net;
   const auto a = net.add_switch(switch1());

@@ -233,6 +233,7 @@ TEST(ExecutorTest, CountsRejections) {
   DionysusScheduler sched;
   const auto report = execute(net, dag, sched);
   EXPECT_EQ(report.rejected, 3u);
+  EXPECT_EQ(report.rejected_retryable + report.rejected_fatal, report.rejected);
 }
 
 // A cycle can never drain: every execution path refuses it in release
@@ -260,7 +261,6 @@ TEST(ExecutorTest, CyclicDagIsRefusedWithoutIssuing) {
   EXPECT_EQ(failed, (std::set<std::size_t>{a, b}));
 
   auto handle = execute_async(net, dag, sched);
-  EXPECT_TRUE(handle.valid());
   EXPECT_TRUE(handle.done());
   const auto& async_report = handle.finish();
   EXPECT_TRUE(async_report.cyclic_dag);
@@ -388,55 +388,6 @@ TEST(TangoSchedulerTest, AdaptsWhenDescendingIsMeasuredCheaper) {
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], hi);  // descending priority
   EXPECT_EQ(order[1], lo);
-}
-
-TEST(TangoSchedulerTest, PrefixLookaheadCanTruncateBatch) {
-  // A large expensive batch whose first quarter unlocks a cheap follow-up
-  // batch: the lookahead should issue only the prefix and let the executor
-  // re-invoke order() when it completes.
-  RequestDag dag;
-  std::vector<std::size_t> ready;
-  for (std::uint32_t i = 0; i < 16; ++i) {
-    ready.push_back(dag.add(req(1, RequestType::kAdd, i)));
-  }
-  // Successors of the first four requests (cheap mods elsewhere).
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    const auto succ = dag.add(req(2, RequestType::kMod, 100 + i));
-    dag.add_dependency(ready[i], succ);
-  }
-  TangoSchedulerOptions options;
-  options.prefix_lookahead = true;
-  BasicTangoScheduler sched(hw_costs(), options);
-  const auto order = sched.order(dag, ready);
-  // Either the full batch or a strict prefix; never something larger, and
-  // always a subset of the ready set.
-  EXPECT_LE(order.size(), ready.size());
-  for (std::size_t id : order) {
-    EXPECT_NE(std::find(ready.begin(), ready.end(), id), ready.end());
-  }
-}
-
-TEST(TangoSchedulerTest, PrefixLookaheadStillCompletesEverything) {
-  net::Network net;
-  const auto s1 = net.add_switch(profiles::switch1());
-  const auto s2 = net.add_switch(profiles::ovs());
-  RequestDag dag;
-  Rng rng(9);
-  std::vector<std::size_t> heads;
-  for (std::uint32_t i = 0; i < 60; ++i) {
-    heads.push_back(dag.add(req(s1, RequestType::kAdd, i,
-                                static_cast<std::uint16_t>(rng.uniform_int(1000, 9000)))));
-  }
-  for (std::uint32_t i = 0; i < 20; ++i) {
-    const auto succ = dag.add(req(s2, RequestType::kAdd, 100 + i));
-    dag.add_dependency(heads[i], succ);
-  }
-  TangoSchedulerOptions options;
-  options.prefix_lookahead = true;
-  BasicTangoScheduler sched({}, options);
-  const auto report = execute(net, dag, sched);
-  EXPECT_EQ(report.issued, 80u);
-  EXPECT_EQ(report.rejected, 0u);
 }
 
 TEST(ToFlowModTest, MapsFieldsAndDefaults) {

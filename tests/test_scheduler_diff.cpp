@@ -86,14 +86,13 @@ Case random_case(Rng& rng) {
   rng.shuffle(c.ready);
   c.options.sort_priorities = !rng.chance(0.25);
   c.options.deadline_first = rng.chance(0.3);
-  c.options.prefix_lookahead = rng.chance(0.3);
   return c;
 }
 
 TEST(TangoSchedulerDiffTest, OrderMatchesSevenPatternOracle) {
   Rng rng(20141202);
   std::size_t ties = 0, ascending_cheaper = 0, descending_cheaper = 0;
-  std::size_t unprofiled = 0, missing_priority = 0, truncated = 0;
+  std::size_t unprofiled = 0, missing_priority = 0;
   for (int round = 0; round < 5000; ++round) {
     Case c = random_case(rng);
     BasicTangoScheduler sched(c.costs, c.options);
@@ -114,7 +113,6 @@ TEST(TangoSchedulerDiffTest, OrderMatchesSevenPatternOracle) {
     } else {
       ++descending_cheaper;
     }
-    if (got.size() < c.ready.size()) ++truncated;
     for (const std::size_t id : c.ready) {
       const auto& r = c.dag.request(id);
       if (c.costs.count(r.location) == 0) {
@@ -135,7 +133,6 @@ TEST(TangoSchedulerDiffTest, OrderMatchesSevenPatternOracle) {
   EXPECT_GT(descending_cheaper, 100u);
   EXPECT_GT(unprofiled, 100u);
   EXPECT_GT(missing_priority, 100u);
-  EXPECT_GT(truncated, 10u);
 }
 
 TEST(TangoSchedulerDiffTest, DescendingWinsOnlyWhenStrictlyCheaper) {

@@ -453,9 +453,13 @@ TEST(TelemetryDeterminismTest, ReportCountersMatchRegistry) {
 struct AcceptanceRun {
   std::string report_json;
   std::string trace_json;
+  sched::ExecutionReport report;
 };
 
-AcceptanceRun run_acceptance(bool traffic_engineering, bool with_faults) {
+/// `via_async` drives the run through execute_async, pumping the event
+/// queue here, instead of through execute().
+AcceptanceRun run_acceptance(bool traffic_engineering, bool with_faults,
+                             bool via_async = false) {
   net::Network net;
   workload::TestbedIds ids;
   ids.s1 = net.add_switch(profiles::switch1());
@@ -482,7 +486,15 @@ AcceptanceRun run_acceptance(bool traffic_engineering, bool with_faults) {
   opts.request_timeout = millis(50);
   opts.max_retries = 5;
   opts.backoff_base = millis(2);
-  const auto report = execute(net, dag, sched, opts);
+  sched::ExecutionReport report;
+  if (via_async) {
+    auto run = sched::execute_async(net, dag, sched, opts);
+    while (!run.done() && net.events().step()) {
+    }
+    report = run.finish();
+  } else {
+    report = execute(net, dag, sched, opts);
+  }
 
   RunReport rr(traffic_engineering ? "fig12_te" : "fig10_lf");
   rr.set_result("makespan_s", report.makespan.sec());
@@ -492,7 +504,7 @@ AcceptanceRun run_acceptance(bool traffic_engineering, bool with_faults) {
   rr.set_result("failed", static_cast<double>(report.failed_requests));
   rr.add_metrics(tele.metrics);
   rr.add_spans(tele.trace, {"exec"});
-  return {rr.to_json(), tele.trace.to_chrome_json()};
+  return {rr.to_json(), tele.trace.to_chrome_json(), report};
 }
 
 TEST(BitIdentityAcceptance, Fig10AndFig12RunsAreByteStable) {
@@ -507,6 +519,17 @@ TEST(BitIdentityAcceptance, Fig10AndFig12RunsAreByteStable) {
       EXPECT_EQ(a.trace_json, b.trace_json);  // byte-for-byte
     }
   }
+}
+
+// execute() is execute_async plus a pump plus finish(): on the faulted fig10
+// scenario both paths leave the same report, registry and trace.
+TEST(ExecutorTest, SyncAndAsyncRunsAgree) {
+  const auto sync = run_acceptance(false, true);
+  const auto async = run_acceptance(false, true, /*via_async=*/true);
+  ASSERT_GT(sync.report.retries, 0u);
+  EXPECT_TRUE(sync.report == async.report);
+  EXPECT_EQ(sync.report_json, async.report_json);
+  EXPECT_EQ(sync.trace_json, async.trace_json);
 }
 
 TEST(BitIdentityAcceptance, BatchedFlowModsMatchSequentialSends) {
