@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/rng.h"
 #include "tables/cache_policy.h"
 #include "tables/software_table.h"
 #include "tables/tcam.h"
@@ -125,6 +126,41 @@ Pair bench_soft_lookup(std::size_t n) {
   return p;
 }
 
+Pair bench_soft_churn(std::size_t n) {
+  // Install-then-remove cycles over a full software table: every cycle
+  // appends a fresh rule, then a seeded draw removes one rule by id (the
+  // fresh one), by non-strict delete of its exact match, or by pop_oldest
+  // (Switch #1's FIFO promotion), keeping the table at n entries. Both
+  // tables replay the same draw sequence; the reference scans for every
+  // removal.
+  ReferenceSoftwareTable ref(0);
+  tables::SoftwareTable idx(0);
+  fill(ref, n);
+  fill(idx, n);
+  auto cycle = [](auto& table, Rng& rng, std::uint32_t& next) {
+    const auto fresh = make_entry(next, 0xF000);
+    const of::Match match = fresh.match;
+    table.insert(fresh);
+    const std::size_t op = rng.index(10);
+    if (op < 4) {
+      keep(table.erase(next));
+    } else if (op < 7) {
+      keep(table.erase_matching(match).size());
+    } else {
+      keep(table.pop_oldest());
+    }
+    ++next;
+  };
+  Pair p;
+  Rng ref_rng(0x50f7);
+  std::uint32_t next = 1u << 20;
+  p.ref = ops_per_sec([&] { cycle(ref, ref_rng, next); });
+  Rng idx_rng(0x50f7);
+  next = 1u << 20;
+  p.idx = ops_per_sec([&] { cycle(idx, idx_rng, next); });
+  return p;
+}
+
 Pair bench_microflow_invalidate(std::size_t n) {
   // Cache pre-loaded with n microflows spread over many rules; each cycle
   // installs 16 microflows for one hot rule and invalidates it. The
@@ -171,6 +207,7 @@ int main() {
     record(report, "tcam_churn", n, bench_tcam_churn(n));
     record(report, "victim_select", n, bench_victim_select(n));
     record(report, "soft_lookup", n, bench_soft_lookup(n));
+    record(report, "soft_churn", n, bench_soft_churn(n));
   }
   // The microflow cache sweep cost depends on cache size, not table size;
   // one representative size keeps the runtime bounded.
