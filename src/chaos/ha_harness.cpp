@@ -212,7 +212,7 @@ HaChaosResult run_ha_chaos(const HaChaosSpec& spec) {
                          ha.takeovers().size() >= expected_takeovers &&
                          ha.accepting_intents();
     if (settled) break;
-    if (!net.events().step()) break;
+    if (!net.step()) break;
   }
 
   ha.stop();

@@ -157,13 +157,16 @@ void Network::set_misbehavior(SwitchId id,
 namespace {
 
 /// Wall-clock scope guard: adds the elapsed real time of an event-loop
-/// stretch to `acc` on exit. Reading steady_clock never perturbs the
-/// simulation (no event, no RNG, no virtual time).
+/// stretch to `acc` on exit. Only the outermost of nested stretches reads
+/// the clock, so a stretch is never counted twice. Reading steady_clock
+/// never perturbs the simulation (no event, no RNG, no virtual time).
 class WallTimer {
  public:
-  explicit WallTimer(std::uint64_t& acc)
-      : acc_(acc), begin_(std::chrono::steady_clock::now()) {}
+  WallTimer(std::uint64_t& acc, int& depth) : acc_(acc), depth_(depth) {
+    if (depth_++ == 0) begin_ = std::chrono::steady_clock::now();
+  }
   ~WallTimer() {
+    if (--depth_ != 0) return;
     acc_ += static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - begin_)
@@ -172,18 +175,29 @@ class WallTimer {
 
  private:
   std::uint64_t& acc_;
+  int& depth_;
   std::chrono::steady_clock::time_point begin_;
 };
 
 }  // namespace
 
 void Network::run_all() {
-  WallTimer timer(wall_ns_);
+  WallTimer timer(wall_ns_, wall_depth_);
   events_.run();
 }
 
+bool Network::step() {
+  WallTimer timer(wall_ns_, wall_depth_);
+  return events_.step();
+}
+
+void Network::run_until(SimTime deadline) {
+  WallTimer timer(wall_ns_, wall_depth_);
+  events_.run_until(deadline);
+}
+
 bool Network::run_until_done(const bool& done, SimDuration timeout) {
-  WallTimer timer(wall_ns_);
+  WallTimer timer(wall_ns_, wall_depth_);
   if (timeout.ns() == 0) {
     while (!done && events_.step()) {
     }

@@ -220,11 +220,21 @@ class Network {
   /// Drain all pending events.
   void run_all();
 
+  /// Run the next pending event; false when the queue is empty. Loops that
+  /// pump the queue until their own condition holds (the executor, the
+  /// transaction commit, the intent service) step through here so the time
+  /// counts in wall_ns(); events() is for scheduling only.
+  bool step();
+
+  /// Run every event due by `deadline`, then advance the clock to it.
+  void run_until(SimTime deadline);
+
   /// Wall-clock nanoseconds this network has spent advancing its event
-  /// loop (run_all / run_until_done and everything built on them). Real
-  /// time, not simulated time: soak drivers surface it per seed so
-  /// tools/bench_compare.py can gate parallel-runner speedups. Never feeds
-  /// back into simulated behaviour or fingerprints.
+  /// loop (run_all / step / run_until and everything built on them). A
+  /// stretch nested inside another (an event handler making a synchronous
+  /// request) is counted once. Real time, not simulated time: soak drivers
+  /// surface it per seed so tools/bench_compare.py can gate parallel-runner
+  /// speedups. Never feeds back into simulated behaviour or fingerprints.
   [[nodiscard]] std::uint64_t wall_ns() const { return wall_ns_; }
 
   [[nodiscard]] const ChannelStats& stats(SwitchId id) const;
@@ -259,6 +269,7 @@ class Network {
   std::vector<Endpoint> endpoints_;
   std::uint32_t xid_ = 1;
   std::uint64_t wall_ns_ = 0;
+  int wall_depth_ = 0;  ///< open event-loop stretches; the outermost is timed
 
   // Dispatch tables keyed by xid. Flow-mod completions are stored in the
   // detailed form; plain Completion callers are wrapped on entry.

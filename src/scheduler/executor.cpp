@@ -568,7 +568,7 @@ ExecutionReport execute(net::Network& network, const RequestDag& dag,
                         UpdateScheduler& scheduler,
                         const ExecutorOptions& options) {
   AsyncExecution run = execute_async(network, dag, scheduler, options);
-  while (!run.done() && network.events().step()) {
+  while (!run.done() && network.step()) {
   }
   // Timers still queued beyond this point hold the state alive and no-op.
   return run.finish();

@@ -92,7 +92,7 @@ ReconcileStats Reconciler::run(const std::map<SwitchId, TableImage>& desired,
   for (;;) {
     // --- quiesce: let in-flight frames of the aborted commit land ---------
     if (options_.quiesce.ns() > 0) {
-      network_.events().run_until(network_.now() + options_.quiesce);
+      network_.run_until(network_.now() + options_.quiesce);
     }
 
     // --- readback + diff --------------------------------------------------

@@ -193,7 +193,7 @@ UpdateTransaction::UpdateTransaction(net::Network& network, RequestDag dag,
 
 const TransactionReport& UpdateTransaction::commit(UpdateScheduler& scheduler) {
   start_commit(scheduler);
-  while (!exec_done() && network_.events().step()) {
+  while (!exec_done() && network_.step()) {
   }
   return finish_commit();
 }

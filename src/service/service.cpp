@@ -301,7 +301,7 @@ void IntentService::run(sched::UpdateScheduler& scheduler) {
       dispatch_round(scheduler);
       continue;
     }
-    if (!network_.events().step()) {
+    if (!network_.step()) {
       // Queue drained with executions still open (possible only with the
       // executor's recovery layer disabled, under faults): close them
       // as-is — their reports account the stranded requests as lost.

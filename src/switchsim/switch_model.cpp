@@ -161,6 +161,29 @@ tables::FlowEntry* SimulatedSwitch::find_strict_anywhere(
   return nullptr;
 }
 
+std::optional<tables::FlowEntry> SimulatedSwitch::take_at_level(
+    std::size_t level, FlowId id, std::size_t* shifts) {
+  if (level < levels_.size()) return levels_[level].take(id, shifts);
+  return software_.erase(id);
+}
+
+void SimulatedSwitch::insert_at_level(std::size_t level, tables::FlowEntry entry) {
+  if (level < levels_.size()) {
+    levels_[level].insert(std::move(entry));
+  } else {
+    software_.insert(std::move(entry));
+  }
+}
+
+void SimulatedSwitch::replace_at_level(std::size_t level, FlowId id,
+                                       tables::FlowEntry entry) {
+  if (level < levels_.size()) {
+    levels_[level].replace(id, std::move(entry));
+  } else {
+    software_.replace(id, std::move(entry));
+  }
+}
+
 FlowModOutcome SimulatedSwitch::do_add(tables::FlowEntry entry, SimTime now) {
   (void)now;
   if (profile_.max_total_rules != 0 && total_rules() >= profile_.max_total_rules) {
@@ -195,11 +218,7 @@ FlowModOutcome SimulatedSwitch::do_add(tables::FlowEntry entry, SimTime now) {
     entry.id = id;
     // replace() keeps position/shift state and re-ranks the entry in the
     // level's eviction heap (the counters just reset).
-    if (existing_level < levels_.size()) {
-      levels_[existing_level].replace(id, std::move(entry));
-    } else {
-      software_.replace(id, std::move(entry));
-    }
+    replace_at_level(existing_level, id, std::move(entry));
     microflow_.invalidate_rule(id);
     FlowModOutcome out;
     out.processing_time = latency_.flow_mod_cost(
@@ -260,19 +279,6 @@ FlowModOutcome SimulatedSwitch::do_add(tables::FlowEntry entry, SimTime now) {
 
 bool SimulatedSwitch::cascade_insert(tables::FlowEntry entry, std::size_t* shifts,
                                      bool* landed_software) {
-  if (!profile_.software_backing) {
-    // Without a backing store an eviction would silently drop an installed
-    // rule (an OpenFlow semantics violation), so a full cache rejects.
-    for (auto& level : levels_) {
-      if (level.can_fit(entry.match)) {
-        auto res = level.insert(std::move(entry));
-        assert(res.accepted);
-        *shifts += res.shifts;
-        return true;
-      }
-    }
-    return false;
-  }
   tables::FlowEntry pending = std::move(entry);
   for (auto& level : levels_) {
     if (level.can_fit(pending.match)) {
@@ -281,6 +287,9 @@ bool SimulatedSwitch::cascade_insert(tables::FlowEntry entry, std::size_t* shift
       *shifts += res.shifts;
       return true;
     }
+    // Without a backing store an eviction would silently drop an installed
+    // rule (an OpenFlow semantics violation), so a full cache rejects.
+    if (!profile_.software_backing) continue;
     // Level is full: the policy decides whether the newcomer displaces the
     // level's lowest-ordered entry (which then cascades down) or sinks.
     const auto victim_id = level.victim_id();
@@ -349,11 +358,7 @@ FlowModOutcome SimulatedSwitch::do_delete(const of::FlowMod& fm, SimTime now,
   if (strict) {
     std::size_t level = 0;
     if (auto* e = find_strict_anywhere(fm.match, fm.priority, &level)) {
-      const FlowId id = e->id;
-      if (level < levels_.size()) {
-        auto taken = levels_[level].take(id, &shifts);
-        if (taken) removed.push_back(std::move(*taken));
-      } else if (auto taken = software_.erase(id)) {
+      if (auto taken = take_at_level(level, e->id, &shifts)) {
         removed.push_back(std::move(*taken));
       }
     }
@@ -398,26 +403,15 @@ void SimulatedSwitch::rebalance() {
   // Pull the policy-best entries upward into freed slots, deepest first.
   for (std::size_t i = 0; i < levels_.size(); ++i) {
     auto& upper = levels_[i];
-    auto candidates = [&]() -> std::vector<const tables::FlowEntry*> {
-      if (i + 1 < levels_.size()) return level_entries(i + 1);
-      std::vector<const tables::FlowEntry*> out;
-      out.reserve(software_.entries().size());
-      for (const auto& e : software_.entries()) out.push_back(&e);
-      return out;
-    };
-    for (auto pool = candidates(); !pool.empty(); pool = candidates()) {
+    for (auto pool = level_entries(i + 1); !pool.empty();
+         pool = level_entries(i + 1)) {
       // Best = the entry the policy would evict last.
       const tables::FlowEntry* best = pool[0];
       for (const auto* e : pool) {
         if (profile_.policy.prefers(*e, *best)) best = e;
       }
       if (!upper.can_fit(best->match)) break;
-      std::optional<tables::FlowEntry> moved;
-      if (i + 1 < levels_.size()) {
-        moved = levels_[i + 1].take(best->id);
-      } else {
-        moved = software_.erase(best->id);
-      }
+      auto moved = take_at_level(i + 1, best->id);
       if (!moved) break;
       upper.insert(std::move(*moved));
     }
@@ -715,27 +709,16 @@ ForwardOutcome SimulatedSwitch::forward(const of::Packet& pkt, SimTime now) {
     // above's victim; if so they swap residences.
     const FlowId id = best->id;
     const std::size_t above = best_level - 1;
-    auto take_hit = [&]() -> std::optional<tables::FlowEntry> {
-      if (best_level < levels_.size()) return levels_[best_level].take(id);
-      return software_.erase(id);
-    };
-    auto put_back_down = [&](tables::FlowEntry entry) {
-      if (best_level < levels_.size()) {
-        levels_[best_level].insert(std::move(entry));
-      } else {
-        software_.insert(std::move(entry));
-      }
-    };
     if (levels_[above].can_fit(best->match)) {
-      auto moved = take_hit();
+      auto moved = take_at_level(best_level, id);
       levels_[above].insert(std::move(*moved));
     } else if (const auto vid = levels_[above].victim_id()) {
       const tables::FlowEntry& victim_ref = *levels_[above].find_by_id(*vid);
       if (profile_.policy.prefers(*best, victim_ref)) {
         auto victim = levels_[above].take(*vid);
-        auto moved = take_hit();
+        auto moved = take_at_level(best_level, id);
         levels_[above].insert(std::move(*moved));
-        put_back_down(std::move(*victim));
+        insert_at_level(best_level, std::move(*victim));
       }
     }
   }
@@ -959,14 +942,11 @@ std::size_t SimulatedSwitch::level_size(std::size_t level) const {
 
 std::vector<const tables::FlowEntry*> SimulatedSwitch::level_entries(
     std::size_t level) const {
+  const auto& entries =
+      level < levels_.size() ? levels_[level].entries() : software_.entries();
   std::vector<const tables::FlowEntry*> out;
-  if (level < levels_.size()) {
-    out.reserve(levels_[level].size());
-    for (const auto& e : levels_[level].entries()) out.push_back(&e);
-  } else {
-    out.reserve(software_.size());
-    for (const auto& e : software_.entries()) out.push_back(&e);
-  }
+  out.reserve(entries.size());
+  for (const auto& e : entries) out.push_back(&e);
   return out;
 }
 

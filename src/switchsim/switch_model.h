@@ -233,6 +233,14 @@ class SimulatedSwitch {
                                           std::uint16_t priority,
                                           std::size_t* level_out);
 
+  // Per-level entry moves. Level levels_.size() is the software table.
+  /// Remove `id` from `level`; TCAM compaction shifts are added to
+  /// `*shifts` when non-null.
+  std::optional<tables::FlowEntry> take_at_level(std::size_t level, FlowId id,
+                                                 std::size_t* shifts = nullptr);
+  void insert_at_level(std::size_t level, tables::FlowEntry entry);
+  void replace_at_level(std::size_t level, FlowId id, tables::FlowEntry entry);
+
   void install_default_route();
 
   /// Lazily allocated misbehavior engine state (absent on the honest fast

@@ -11,8 +11,8 @@
 // Snapshots store the same doubles attribute_value() feeds prefers(), and
 // the record comparator replays prefers() exactly — key by key, with the
 // final lower-id-stays tie-break — so victim() agrees with victim_index()
-// on every input, ties and serial attributes included (the differential
-// property suite in tests/test_tables.cpp asserts this).
+// on every input, ties and serial attributes included (EvictionHeapDiff and
+// TcamDiff in tests/test_table_diff.cpp assert this).
 #pragma once
 
 #include <array>

@@ -12,19 +12,18 @@ bool SoftwareTable::age_after(const AgeRecord& a, const AgeRecord& b) {
   return a.seq > b.seq;
 }
 
-void SoftwareTable::push_age(const FlowEntry& e, std::uint64_t seq) {
-  age_heap_.push_back(AgeRecord{e.attrs.insert_time.ns(), seq, e.id});
+// Pushes the entry at `pos` and, when stale records dominate, rebuilds the
+// heap from the live ones.
+void SoftwareTable::push_age(std::size_t pos) {
+  const FlowEntry& e = store_.entries()[pos];
+  age_heap_.push_back(AgeRecord{e.attrs.insert_time.ns(), store_.serial_at(pos), e.id});
   std::push_heap(age_heap_.begin(), age_heap_.end(), age_after);
-}
-
-void SoftwareTable::compact_age_heap() {
-  if (age_heap_.size() <= 2 * entries_.size() + 64) return;
+  if (age_heap_.size() <= 2 * store_.size() + 64) return;
   std::vector<AgeRecord> kept;
-  kept.reserve(entries_.size());
+  kept.reserve(store_.size());
   for (const auto& r : age_heap_) {
-    const auto it = pos_.find(r.id);
-    if (it != pos_.end() &&
-        entries_[it->second].attrs.insert_time.ns() == r.insert_ns) {
+    const FlowEntry* live = store_.find_by_id(r.id);
+    if (live != nullptr && live->attrs.insert_time.ns() == r.insert_ns) {
       kept.push_back(r);
     }
   }
@@ -33,98 +32,27 @@ void SoftwareTable::compact_age_heap() {
 }
 
 bool SoftwareTable::insert(FlowEntry entry) {
-  if (capacity_ != 0 && entries_.size() >= capacity_) return false;
-  const std::size_t pos = entries_.size();
-  const std::uint64_t seq = next_seq_++;
-  entries_.push_back(std::move(entry));
-  seqs_.push_back(seq);
-  const FlowEntry& e = entries_[pos];
-  pos_[e.id] = pos;
-  tuple_.insert(e.match, e.id);
-  strict_.insert(e.match, e.priority, e.id);
-  if (is_timed(e)) ++timed_;
-  push_age(e, seq);
-  compact_age_heap();
+  if (capacity_ != 0 && store_.size() >= capacity_) return false;
+  const std::size_t pos = store_.size();
+  store_.insert_at(pos, std::move(entry));
+  push_age(pos);
   return true;
 }
 
-void SoftwareTable::remove_at(std::size_t pos) {
-  FlowEntry& e = entries_[pos];
-  if (is_timed(e)) --timed_;
-  tuple_.erase(e.match, e.id);
-  strict_.erase(e.match, e.priority, e.id);
-  pos_.erase(e.id);
-  for (std::size_t i = pos + 1; i < entries_.size(); ++i) --pos_[entries_[i].id];
-  entries_.erase(entries_.begin() + static_cast<long>(pos));
-  seqs_.erase(seqs_.begin() + static_cast<long>(pos));
-}
-
 std::optional<FlowEntry> SoftwareTable::erase(FlowId id) {
-  const auto it = pos_.find(id);
-  if (it == pos_.end()) return std::nullopt;
-  const std::size_t pos = it->second;
-  FlowEntry out = entries_[pos];
-  remove_at(pos);
-  return out;
-}
-
-std::vector<FlowEntry> SoftwareTable::remove_batch(
-    const std::vector<std::size_t>& desc) {
-  std::vector<FlowEntry> removed;
-  removed.reserve(desc.size());
-  for (const std::size_t p : desc) {
-    FlowEntry& e = entries_[p];
-    if (is_timed(e)) --timed_;
-    tuple_.erase(e.match, e.id);
-    strict_.erase(e.match, e.priority, e.id);
-    pos_.erase(e.id);
-    removed.push_back(std::move(e));
-  }
-  // One-pass compaction over the holes (desc is strictly descending, so its
-  // reverse view is ascending).
-  const std::size_t n = entries_.size();
-  std::size_t write = desc.back();
-  std::size_t next = desc.size();
-  std::size_t next_hole = desc[next - 1];
-  for (std::size_t read = write; read < n; ++read) {
-    if (next > 0 && read == next_hole) {
-      --next;
-      next_hole = next > 0 ? desc[next - 1] : n;
-      continue;
-    }
-    entries_[write] = std::move(entries_[read]);
-    seqs_[write] = seqs_[read];
-    pos_[entries_[write].id] = write;
-    ++write;
-  }
-  entries_.resize(write);
-  seqs_.resize(write);
-  return removed;
+  const auto pos = store_.position_of(id);
+  if (!pos) return std::nullopt;
+  return store_.remove_at(*pos);
 }
 
 std::vector<FlowEntry> SoftwareTable::erase_matching(const of::Match& filter) {
-  scratch_.clear();
-  tuple_.for_each_subsumable(filter, [&](FlowId id) {
-    const std::size_t pos = pos_.find(id)->second;
-    if (filter.subsumes(entries_[pos].match)) scratch_.push_back(pos);
-  });
-  if (scratch_.empty()) return {};
   // Removed entries come back in descending table order — the order the
   // original one-at-a-time reverse sweep produced.
-  std::sort(scratch_.begin(), scratch_.end(), std::greater<>());
-  return remove_batch(scratch_);
+  return store_.remove_batch(store_.subsumed_positions(filter));
 }
 
 std::vector<FlowEntry> SoftwareTable::take_expired(SimTime now) {
-  if (timed_ == 0) return {};
-  // Expiry is time-based, not match-based, so collect by scan; the timed_
-  // fast path above keeps the common (no timeouts resident) case O(1).
-  scratch_.clear();
-  for (std::size_t i = entries_.size(); i-- > 0;) {
-    if (entries_[i].expired(now)) scratch_.push_back(i);
-  }
-  if (scratch_.empty()) return {};
-  return remove_batch(scratch_);
+  return store_.remove_batch(store_.expired_positions(now));
 }
 
 std::optional<FlowEntry> SoftwareTable::pop_oldest() {
@@ -132,13 +60,10 @@ std::optional<FlowEntry> SoftwareTable::pop_oldest() {
     const AgeRecord top = age_heap_.front();
     std::pop_heap(age_heap_.begin(), age_heap_.end(), age_after);
     age_heap_.pop_back();
-    const auto it = pos_.find(top.id);
-    if (it == pos_.end()) continue;  // stale: entry left the table
-    const std::size_t pos = it->second;
-    if (entries_[pos].attrs.insert_time.ns() != top.insert_ns) continue;
-    FlowEntry out = entries_[pos];
-    remove_at(pos);
-    return out;
+    const auto pos = store_.position_of(top.id);
+    if (!pos) continue;  // stale: entry left the table
+    if (store_.entries()[*pos].attrs.insert_time.ns() != top.insert_ns) continue;
+    return store_.remove_at(*pos);
   }
   return std::nullopt;
 }
@@ -146,70 +71,25 @@ std::optional<FlowEntry> SoftwareTable::pop_oldest() {
 FlowEntry* SoftwareTable::lookup(const of::PacketHeader& pkt) {
   // Winner: highest priority; ties go to the earliest-inserted entry
   // (lowest position), matching the original front-to-back strict-> scan.
-  std::size_t best_pos = 0;
-  bool found = false;
-  tuple_.for_each_candidate(pkt, [&](FlowId id) {
-    const std::size_t pos = pos_.find(id)->second;
-    const FlowEntry& e = entries_[pos];
-    if (!e.match.matches(pkt)) return;
-    if (!found || e.priority > entries_[best_pos].priority ||
-        (e.priority == entries_[best_pos].priority && pos < best_pos)) {
-      best_pos = pos;
-      found = true;
-    }
-  });
-  return found ? &entries_[best_pos] : nullptr;
-}
-
-FlowEntry* SoftwareTable::find_strict(const of::Match& match, std::uint16_t priority) {
-  const auto* ids = strict_.candidates(match, priority);
-  if (ids == nullptr) return nullptr;
-  // Bucket order is insertion order, and relative table order among equal
-  // (match, priority) keys is insertion order too, so the first verified
-  // candidate is the front-to-back scan's first hit.
-  for (const FlowId id : *ids) {
-    FlowEntry& e = entries_[pos_.find(id)->second];
-    if (e.priority == priority && e.match == match) return &e;
-  }
-  return nullptr;
-}
-
-const FlowEntry* SoftwareTable::find_by_id(FlowId id) const {
-  const auto it = pos_.find(id);
-  return it == pos_.end() ? nullptr : &entries_[it->second];
-}
-
-FlowEntry* SoftwareTable::find_by_id(FlowId id) {
-  const auto it = pos_.find(id);
-  return it == pos_.end() ? nullptr : &entries_[it->second];
-}
-
-std::size_t SoftwareTable::modify_matching(const of::Match& filter,
-                                           const of::ActionList& actions) {
-  return for_each_matching(filter, [&](FlowEntry& e) { e.actions = actions; });
+  return store_.best_match(
+      pkt, [](const FlowEntry& e, std::size_t pos, const FlowEntry& best,
+              std::size_t best_pos) {
+        return e.priority > best.priority ||
+               (e.priority == best.priority && pos < best_pos);
+      });
 }
 
 bool SoftwareTable::replace(FlowId id, FlowEntry entry) {
-  const auto it = pos_.find(id);
-  if (it == pos_.end()) return false;
-  FlowEntry& old = entries_[it->second];
-  if (is_timed(old)) --timed_;
-  if (is_timed(entry)) ++timed_;
-  old = std::move(entry);
+  const auto pos = store_.replace(id, std::move(entry));
+  if (!pos) return false;
   // The replacement restarts the entry's clock; record the new insertion
   // time under the original serial so age order still follows position.
-  push_age(old, seqs_[it->second]);
-  compact_age_heap();
+  push_age(*pos);
   return true;
 }
 
 void SoftwareTable::clear() {
-  entries_.clear();
-  seqs_.clear();
-  timed_ = 0;
-  pos_.clear();
-  tuple_.clear();
-  strict_.clear();
+  store_.clear();
   age_heap_.clear();
 }
 

@@ -5,23 +5,25 @@
 // many kernel microflows).
 //
 // Both tables are index-backed so wall-clock cost per simulated operation
-// stays near O(1): the wildcard table shares the TCAM's tuple-space/strict/
-// id indexes plus a lazy min-heap over insertion times for pop_oldest; the
-// microflow cache keeps a per-rule key index and a sequence-guarded FIFO so
-// rule invalidation no longer walks the whole cache. Observable behaviour is
+// stays near O(1): the wildcard table keeps its entries in the same
+// RuleStore as the TCAM (tuple-space, strict and id indexes) and adds only
+// its capacity, its lookup winner (highest priority, then lowest position)
+// and a lazy min-heap over insertion times for pop_oldest; the microflow
+// cache keeps a per-rule key index and a sequence-guarded FIFO so rule
+// invalidation no longer walks the whole cache. Observable behaviour is
 // bit-identical to the linear-scan implementations these replaced (see
 // tests/test_table_diff.cpp).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "tables/flow_entry.h"
-#include "tables/tuple_index.h"
+#include "tables/rule_store.h"
 
 namespace tango::tables {
 
@@ -49,67 +51,51 @@ class SoftwareTable {
   std::optional<FlowEntry> pop_oldest();
 
   FlowEntry* lookup(const of::PacketHeader& pkt);
-  FlowEntry* find_strict(const of::Match& match, std::uint16_t priority);
+  FlowEntry* find_strict(const of::Match& match, std::uint16_t priority) {
+    return store_.find_strict(match, priority);
+  }
 
-  [[nodiscard]] const FlowEntry* find_by_id(FlowId id) const;
-  FlowEntry* find_by_id(FlowId id);
+  [[nodiscard]] const FlowEntry* find_by_id(FlowId id) const {
+    return store_.find_by_id(id);
+  }
+  FlowEntry* find_by_id(FlowId id) { return store_.find_by_id(id); }
 
   /// Apply `fn` to every entry subsumed by `filter`, in table order. `fn`
   /// must not change an entry's match, priority, id, or insertion time.
   /// Returns the number of entries visited.
   template <typename Fn>
   std::size_t for_each_matching(const of::Match& filter, Fn&& fn) {
-    scratch_.clear();
-    tuple_.for_each_subsumable(filter, [&](FlowId id) {
-      const std::size_t pos = pos_.find(id)->second;
-      if (filter.subsumes(entries_[pos].match)) scratch_.push_back(pos);
-    });
-    std::sort(scratch_.begin(), scratch_.end());
-    for (const std::size_t pos : scratch_) fn(entries_[pos]);
-    return scratch_.size();
+    return store_.for_each_matching(filter, std::forward<Fn>(fn));
   }
 
-  std::size_t modify_matching(const of::Match& filter, const of::ActionList& actions);
+  std::size_t modify_matching(const of::Match& filter, const of::ActionList& actions) {
+    return store_.modify_matching(filter, actions);
+  }
 
   /// Overwrite the entry with this id in place (ADD-replaces-duplicate).
   /// Must carry the same id, match, and priority; false if absent.
   bool replace(FlowId id, FlowEntry entry);
 
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const { return store_.size(); }
   [[nodiscard]] bool unbounded() const { return capacity_ == 0; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] const std::vector<FlowEntry>& entries() const { return entries_; }
+  [[nodiscard]] const std::vector<FlowEntry>& entries() const { return store_.entries(); }
   void clear();
 
  private:
-  static bool is_timed(const FlowEntry& e) {
-    return e.idle_timeout != 0 || e.hard_timeout != 0;
-  }
   struct AgeRecord {
     std::int64_t insert_ns = 0;
-    std::uint64_t seq = 0;  ///< insertion serial; orders equal timestamps
+    std::uint64_t seq = 0;  ///< the store's insert serial; orders equal timestamps
     FlowId id = 0;
   };
   static bool age_after(const AgeRecord& a, const AgeRecord& b);
-  void push_age(const FlowEntry& e, std::uint64_t seq);
-  void compact_age_heap();
-  void remove_at(std::size_t pos);
-  /// Remove the entries at `desc` (positions, strictly descending), in that
-  /// order, with one-pass compaction.
-  std::vector<FlowEntry> remove_batch(const std::vector<std::size_t>& desc);
+  void push_age(std::size_t pos);
 
   std::size_t capacity_;
-  std::vector<FlowEntry> entries_;  // insertion order
-  std::vector<std::uint64_t> seqs_;  // parallel to entries_
-  std::uint64_t next_seq_ = 0;
-  std::size_t timed_ = 0;
-  std::unordered_map<FlowId, std::size_t> pos_;
-  TupleSpaceIndex tuple_;
-  StrictIndex strict_;
+  RuleStore store_;  // insertion order
   /// Lazy min-heap on (insert_ns, seq); stale records (id gone or
   /// insert time changed by replacement) are discarded on pop.
   std::vector<AgeRecord> age_heap_;
-  std::vector<std::size_t> scratch_;
 };
 
 /// Exact-match cache keyed by full packet header. FIFO-evicting, like the

@@ -13,26 +13,26 @@
 // adaptive mode (L2-only/L3-only cost 1 slot, L2+L3 cost 2 — Switch #3).
 //
 // The physical array is the source of truth (entries() order is the
-// observable physical order and the shift counts derive from it), but all
-// point operations go through side indexes so nothing scans the array:
-// a tuple-space index for lookup/subsumption, a strict (match, priority)
-// hash for OpenFlow strict ops, an id -> position map, and a lazy eviction
-// heap when a cache policy is attached. The indexes are accelerators only —
-// results are bit-identical to the linear scans they replaced (see the
-// ReferenceTcam differential suite in tests/test_table_diff.cpp).
+// observable physical order and the shift counts derive from it). It lives
+// in a RuleStore, whose indexes keep point operations off linear scans; the
+// Tcam adds only what is TCAM-specific: slot accounting per width mode,
+// priority placement, shift arithmetic, the top-down lookup winner (the
+// highest matching position), and a lazy eviction heap when a cache policy
+// is attached. Results are bit-identical to the linear scans the indexes
+// replaced (see the ReferenceTcam differential suite in
+// tests/test_table_diff.cpp).
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "tables/eviction_heap.h"
 #include "tables/flow_entry.h"
-#include "tables/tuple_index.h"
+#include "tables/rule_store.h"
 
 namespace tango::tables {
 
@@ -91,10 +91,14 @@ class Tcam {
   FlowEntry* lookup(const of::PacketHeader& pkt);
 
   /// Exact (match, priority) find, nullptr if absent.
-  FlowEntry* find_strict(const of::Match& match, std::uint16_t priority);
+  FlowEntry* find_strict(const of::Match& match, std::uint16_t priority) {
+    return store_.find_strict(match, priority);
+  }
 
-  [[nodiscard]] const FlowEntry* find_by_id(FlowId id) const;
-  FlowEntry* find_by_id(FlowId id);
+  [[nodiscard]] const FlowEntry* find_by_id(FlowId id) const {
+    return store_.find_by_id(id);
+  }
+  FlowEntry* find_by_id(FlowId id) { return store_.find_by_id(id); }
 
   /// Apply `fn` to every entry subsumed by `filter`, in physical order.
   /// `fn` must not change an entry's match, priority, or id (use
@@ -102,19 +106,14 @@ class Tcam {
   /// number of entries visited.
   template <typename Fn>
   std::size_t for_each_matching(const of::Match& filter, Fn&& fn) {
-    scratch_.clear();
-    tuple_.for_each_subsumable(filter, [&](FlowId id) {
-      const std::size_t pos = pos_.find(id)->second;
-      if (filter.subsumes(entries_[pos].match)) scratch_.push_back(pos);
-    });
-    std::sort(scratch_.begin(), scratch_.end());
-    for (const std::size_t pos : scratch_) fn(entries_[pos]);
-    return scratch_.size();
+    return store_.for_each_matching(filter, std::forward<Fn>(fn));
   }
 
   /// In-place modification of actions for all entries subsumed by `filter`
   /// (OpenFlow MODIFY). Returns number updated; no shifts are incurred.
-  std::size_t modify_matching(const of::Match& filter, const of::ActionList& actions);
+  std::size_t modify_matching(const of::Match& filter, const of::ActionList& actions) {
+    return store_.modify_matching(filter, actions);
+  }
 
   /// Overwrite the entry with this id in place (the OpenFlow ADD-replaces-
   /// duplicate path). The replacement must carry the same id, match, and
@@ -135,7 +134,7 @@ class Tcam {
   /// (e.g. record_hit). No-op when no policy is attached.
   void note_attrs_changed(FlowId id);
 
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const { return store_.size(); }
   [[nodiscard]] std::size_t slots_used() const { return slots_used_; }
   [[nodiscard]] std::size_t slots_total() const { return config_.capacity_slots; }
   [[nodiscard]] const TcamConfig& config() const { return config_; }
@@ -149,29 +148,21 @@ class Tcam {
   }
 
   /// Entries in physical (ascending-priority) order.
-  [[nodiscard]] const std::vector<FlowEntry>& entries() const { return entries_; }
+  [[nodiscard]] const std::vector<FlowEntry>& entries() const { return store_.entries(); }
 
   void clear();
 
  private:
-  static bool is_timed(const FlowEntry& e) {
-    return e.idle_timeout != 0 || e.hard_timeout != 0;
-  }
-  void index_entry(const FlowEntry& e, std::size_t pos);
   /// Remove the entries at `desc` (positions, strictly descending), in that
   /// order, mirroring the shift accounting of one-at-a-time erasure.
   std::vector<FlowEntry> remove_batch(const std::vector<std::size_t>& desc,
                                       std::size_t* shifts_out);
+  void compact_heap();
 
   TcamConfig config_;
-  std::vector<FlowEntry> entries_;  // ascending priority; equal-priority FIFO
+  RuleStore store_;  // ascending priority; equal-priority FIFO
   std::size_t slots_used_ = 0;
-  std::size_t timed_ = 0;           // resident entries with a timeout set
-  std::unordered_map<FlowId, std::size_t> pos_;
-  TupleSpaceIndex tuple_;
-  StrictIndex strict_;
   EvictionHeap heap_;
-  std::vector<std::size_t> scratch_;  // candidate positions, reused
 };
 
 }  // namespace tango::tables

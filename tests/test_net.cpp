@@ -2,10 +2,14 @@
 // queueing/barrier semantics, the Network facade, and the B4 graph.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "net/b4.h"
 #include "net/fault_injector.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "scheduler/executor.h"
+#include "scheduler/schedulers.h"
 #include "switchsim/profiles.h"
 #include "tango/probe_engine.h"
 
@@ -211,6 +215,35 @@ TEST(NetworkTest, WallClockCountsSynchronousStatsRequests) {
   const auto reply = net.table_stats_sync(sw);
   EXPECT_FALSE(reply.entries.empty());
   EXPECT_GT(net.wall_ns(), before);
+}
+
+// The executor pumps the queue through Network::step(), so a commit's
+// event-loop time lands in wall_ns() — once, never more than the wall time
+// the whole call took.
+TEST(NetworkTest, WallClockCountsCommitPath) {
+  Network net;
+  const auto sw = net.add_switch(switch1());
+  sched::RequestDag dag;
+  for (std::uint32_t i = 0; i < 2000; ++i) {
+    sched::SwitchRequest r;
+    r.location = sw;
+    r.type = sched::RequestType::kAdd;
+    r.priority = 0x8000;
+    r.match = ProbeEngine::probe_match(i);
+    r.actions = of::output_to(2);
+    dag.add(r);
+  }
+  sched::DionysusScheduler scheduler;
+  const auto before = net.wall_ns();
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto report = sched::execute(net, dag, scheduler);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(report.issued, 2000u);
+  const auto counted = net.wall_ns() - before;
+  EXPECT_GT(counted, 0u);
+  EXPECT_LE(counted, static_cast<std::uint64_t>(
+                         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+                             .count()));
 }
 
 TEST(NetworkTest, SwitchesAreIndependentEndpoints) {

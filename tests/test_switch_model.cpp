@@ -284,6 +284,20 @@ TEST(SwitchSemantics, StrictDuplicateAddReplacesInPlace) {
   sw.apply_flow_mod(replace, at(1));
   EXPECT_EQ(sw.total_rules(), 1u);
   EXPECT_EQ(sw.forward(packet_for(0), at(2)).out_port, 7);
+
+  // The same ADD against a rule resident in the software table replaces it
+  // there: no promotion, no second copy.
+  SimulatedSwitch fifo(1, small_switch1(5));
+  for (std::uint32_t i = 0; i < 8; ++i) fifo.apply_flow_mod(add_rule(i), at(i));
+  ASSERT_EQ(fifo.software_size(), 3u);
+  auto soft_replace = add_rule(6);
+  soft_replace.actions = of::output_to(7);
+  fifo.apply_flow_mod(soft_replace, at(10));
+  EXPECT_EQ(fifo.software_size(), 3u);
+  EXPECT_EQ(fifo.total_rules(), 8u);
+  const auto out = fifo.forward(packet_for(6), at(11));
+  EXPECT_EQ(out.level, 1u);
+  EXPECT_EQ(out.out_port, 7);
 }
 
 TEST(SwitchSemantics, ModifyWithNoMatchActsAsAdd) {
@@ -316,6 +330,22 @@ TEST(SwitchSemantics, StrictDeleteRemovesExactlyOne) {
   EXPECT_EQ(sw.total_rules(), 1u);
   EXPECT_EQ(sw.forward(packet_for(1), at(3)).kind,
             ForwardOutcome::Kind::kForwarded);
+
+  // A strict delete of a software-resident rule removes that rule only.
+  SimulatedSwitch fifo(1, small_switch1(5));
+  for (std::uint32_t i = 0; i < 8; ++i) fifo.apply_flow_mod(add_rule(i), at(i));
+  ASSERT_EQ(fifo.software_size(), 3u);
+  auto soft_del = add_rule(6);
+  soft_del.command = of::FlowModCommand::kDeleteStrict;
+  fifo.apply_flow_mod(soft_del, at(10));
+  EXPECT_EQ(fifo.total_rules(), 7u);
+  EXPECT_EQ(fifo.level_size(0), 5u);
+  EXPECT_EQ(fifo.software_size(), 2u);
+  EXPECT_EQ(fifo.forward(packet_for(6), at(11)).kind,
+            ForwardOutcome::Kind::kToController);
+  for (const std::uint32_t i : {5u, 7u}) {
+    EXPECT_EQ(fifo.forward(packet_for(i), at(12 + i)).level, 1u) << i;
+  }
 }
 
 TEST(SwitchSemantics, MaxTotalRulesIsEnforced) {

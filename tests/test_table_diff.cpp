@@ -105,12 +105,16 @@ std::vector<FlowId> ids_of(const std::vector<FlowEntry>& entries) {
 // TCAM differential
 // ---------------------------------------------------------------------------
 
-void run_tcam_diff(TcamMode mode, std::uint64_t seed, std::size_t steps) {
+/// With `policy` set, the TCAM's eviction heap is attached too and its
+/// victim is checked against the reference scan after every op.
+void run_tcam_diff(TcamMode mode, std::uint64_t seed, std::size_t steps,
+                   const LexCachePolicy* policy = nullptr) {
   SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
                " seed=" + std::to_string(seed));
   Rng rng(seed);
   Tcam idx({64, mode});
   ReferenceTcam ref({64, mode});
+  if (policy != nullptr) idx.set_eviction_policy(policy);
   FlowId next_id = 1;
   std::int64_t now_ns = 0;
   std::size_t accepted = 0;  // guards against a vacuously-empty-table pass
@@ -183,6 +187,8 @@ void run_tcam_diff(TcamMode mode, std::uint64_t seed, std::size_t steps) {
       repl.cookie += 1000;
       repl.actions = of::output_to(9);
       repl.idle_timeout = static_cast<std::uint16_t>(rng.index(3));
+      // Under a policy, a restarted clock must re-rank the entry.
+      if (policy != nullptr && rng.chance(0.5)) repl.attrs.insert_time = now;
       ASSERT_EQ(idx.replace(id, repl), ref.replace(id, repl)) << "step " << step;
     } else {  // clear
       idx.clear();
@@ -192,6 +198,9 @@ void run_tcam_diff(TcamMode mode, std::uint64_t seed, std::size_t steps) {
 
     ASSERT_EQ(idx.size(), ref.size()) << "step " << step;
     ASSERT_EQ(idx.slots_used(), ref.slots_used()) << "step " << step;
+    if (policy != nullptr) {
+      ASSERT_EQ(idx.victim_id(), ref.victim_id(*policy)) << "step " << step;
+    }
     if (step % 64 == 0) ASSERT_SAME_ENTRIES(idx.entries(), ref.entries(), step);
   }
   ASSERT_SAME_ENTRIES(idx.entries(), ref.entries(), steps);
@@ -284,6 +293,10 @@ void run_software_diff(std::size_t capacity, std::uint64_t seed,
       FlowEntry repl = *idx.find_by_id(id);
       repl.cookie += 1000;
       repl.hard_timeout = static_cast<std::uint16_t>(rng.index(4));
+      // Half the time the replacement restarts the entry's clock, as an ADD
+      // replacing a rule does in SimulatedSwitch::do_add; pop_oldest must
+      // then follow the new insertion time.
+      if (rng.chance(0.5)) repl.attrs.insert_time = now;
       ASSERT_EQ(idx.replace(id, repl), ref.replace(id, repl)) << "step " << step;
     } else {
       idx.clear();
@@ -440,6 +453,19 @@ TEST(EvictionHeapDiff, VictimMatchesLinearScanForRandomPolicies) {
 
       ASSERT_EQ(idx.victim_id(), ref.victim_id(policy)) << "step " << step;
     }
+  }
+}
+
+// The heap under the full TCAM op mix: erase_matching, take_expired, replace
+// and clear, not only insert, hit and erase.
+TEST(TcamDiff, VictimMatchesReferenceUnderRandomOpSequences) {
+  Rng rng(0x71c7);
+  const TcamMode modes[] = {TcamMode::kSingleWide, TcamMode::kAdaptive,
+                            TcamMode::kDoubleWide};
+  for (std::uint64_t trial = 0; trial < 6; ++trial) {
+    const auto policy = random_policy(rng);
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": " + policy.describe());
+    run_tcam_diff(modes[trial % 3], 200 + trial, 2000, &policy);
   }
 }
 
