@@ -405,6 +405,78 @@ TEST(CodecFuzzTest, FlowStatsEntryLengthFuzzNeverOverReads) {
   EXPECT_GT(rejected, 2000u);
 }
 
+// Pins the codec's accept set and decoded values on the seeded corruption
+// corpora above (the bit-flip, garbage and flow-stats entry-length
+// streams, regenerated from the same seeds). Each frame folds its ok bit
+// and, when it decodes, the re-encoding of what it decoded into one
+// FNV-1a 64 hash, so a codec change that accepts or rejects a different
+// frame, or decodes one to a different value, moves the hash.
+TEST(CodecFuzzTest, CorruptedCorporaDecodeToPinnedHash) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto fold = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  };
+  std::size_t frames = 0;
+  const auto replay = [&](const std::vector<std::uint8_t>& frame) {
+    ++frames;
+    const auto result = decode(frame);
+    fold(result.ok() ? 1 : 0);
+    if (!result.ok()) return;
+    for (const auto b : encode(result.value())) fold(b);
+  };
+
+  Rng flips(kFuzzSeed + 1);
+  for (std::size_t i = 0; i < 5000; ++i) {
+    auto wire = encode(random_message(flips, i));
+    const std::size_t n = 1 + flips.index(8);
+    for (std::size_t k = 0; k < n; ++k) {
+      wire[flips.index(wire.size())] ^=
+          static_cast<std::uint8_t>(1u << flips.index(8));
+    }
+    replay(wire);
+  }
+
+  Rng garbage_rng(kFuzzSeed + 3);
+  for (std::size_t i = 0; i < 2500; ++i) {
+    auto garbage = bytes(garbage_rng, 64);
+    if (garbage_rng.chance(0.3) && garbage.size() >= 4) {
+      garbage[0] = kVersion;
+      garbage[1] = static_cast<std::uint8_t>(garbage_rng.index(20));
+      garbage[2] = static_cast<std::uint8_t>(garbage.size() >> 8);
+      garbage[3] = static_cast<std::uint8_t>(garbage.size());
+    }
+    replay(garbage);
+  }
+
+  Rng lengths(kFuzzSeed + 5);
+  for (std::size_t i = 0; i < 2500; ++i) {
+    FlowStatsReply reply;
+    const std::size_t n = 1 + lengths.index(3);
+    for (std::size_t k = 0; k < n; ++k) {
+      FlowStatsEntry e;
+      e.match = random_match(lengths);
+      e.priority = u16(lengths);
+      e.cookie = u64(lengths);
+      e.actions = random_actions(lengths);
+      reply.entries.push_back(e);
+    }
+    auto wire = encode(Message{u32(lengths), reply});
+    std::size_t offset = 12;
+    const std::size_t target = lengths.index(n);
+    for (std::size_t k = 0; k < target; ++k) {
+      offset += 88;
+      for (const auto& a : reply.entries[k].actions) offset += wire_size(a);
+    }
+    wire[offset] = byte(lengths);
+    wire[offset + 1] = byte(lengths);
+    replay(wire);
+  }
+
+  EXPECT_EQ(frames, 10000u);
+  EXPECT_EQ(h, 0x0766fb416fc115c3ull);
+}
+
 TEST(CodecFuzzTest, FrameAssemblerHandlesArbitraryChunking) {
   Rng rng(kFuzzSeed + 4);
   for (std::size_t round = 0; round < 50; ++round) {
