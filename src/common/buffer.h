@@ -96,12 +96,15 @@ class BufReader {
   [[nodiscard]] std::size_t position() const { return pos_; }
   [[nodiscard]] bool failed() const { return failed_; }
 
- private:
-  bool ok(std::size_t n) const { return !failed_ && pos_ + n <= data_.size(); }
+  /// Mark the read failed (also for a format error the caller detects);
+  /// returns 0 so a short read can return it as its value.
   std::uint8_t fail() {
     failed_ = true;
     return 0;
   }
+
+ private:
+  bool ok(std::size_t n) const { return !failed_ && pos_ + n <= data_.size(); }
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

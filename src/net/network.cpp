@@ -215,17 +215,6 @@ bool Network::run_until_done(const bool& done, SimDuration timeout) {
   return done;
 }
 
-namespace {
-
-/// Adapt a plain Completion to the detailed completion form.
-Network::CompletionEx wrap_completion(Network::Completion done) {
-  return [cb = std::move(done)](const Network::FlowModResult& res) {
-    cb(res.accepted, res.completed_at);
-  };
-}
-
-}  // namespace
-
 Network::InstallResult Network::install(SwitchId id, const of::FlowMod& fm,
                                         SimDuration timeout) {
   InstallResult result;
@@ -247,11 +236,6 @@ Network::InstallResult Network::install(SwitchId id, const of::FlowMod& fm,
 }
 
 void Network::post_flow_mod(SwitchId id, const of::FlowMod& fm, Completion done) {
-  post_flow_mod_ex(id, fm, wrap_completion(std::move(done)));
-}
-
-void Network::post_flow_mod_ex(SwitchId id, const of::FlowMod& fm,
-                               CompletionEx done) {
   const std::uint32_t xid = next_xid();
   flow_mod_cbs_[xid] = std::move(done);
   endpoint(id).channel->send(of::Message{xid, fm});
@@ -261,10 +245,9 @@ void Network::post_flow_mod_batch(SwitchId id, std::span<const of::FlowMod> fms,
                                   Completion done_each) {
   std::vector<of::Message> msgs;
   msgs.reserve(fms.size());
-  const CompletionEx each = wrap_completion(std::move(done_each));
   for (const auto& fm : fms) {
     const std::uint32_t xid = next_xid();
-    flow_mod_cbs_[xid] = each;
+    flow_mod_cbs_[xid] = done_each;
     msgs.push_back(of::Message{xid, fm});
   }
   endpoint(id).channel->send_batch(msgs);

@@ -185,13 +185,8 @@ class Network {
   void set_link_state(std::size_t link_index, bool up);
 
   // --- asynchronous controller operations ----------------------------------
-  using Completion = std::function<void(bool accepted, SimTime completed_at)>;
-  /// Queue a flow_mod; `done` fires (in simulated time) when the switch
-  /// agent finishes it.
-  void post_flow_mod(SwitchId id, const of::FlowMod& fm, Completion done);
-
-  /// Completion detail for post_flow_mod_ex: rejections carry the switch's
-  /// error type/code so the executor can classify retryable vs. fatal.
+  /// Flow-mod completion detail: rejections carry the switch's error
+  /// type/code so the executor can classify retryable vs. fatal.
   struct FlowModResult {
     bool accepted = false;
     SimTime completed_at{};
@@ -199,9 +194,10 @@ class Network {
     of::ErrorType error_type = of::ErrorType::kFlowModFailed;
     std::uint16_t error_code = 0;
   };
-  using CompletionEx = std::function<void(const FlowModResult&)>;
-  /// post_flow_mod, with the rejection error surfaced to the completion.
-  void post_flow_mod_ex(SwitchId id, const of::FlowMod& fm, CompletionEx done);
+  using Completion = std::function<void(const FlowModResult&)>;
+  /// Queue a flow_mod; `done` fires (in simulated time) when the switch
+  /// agent finishes it.
+  void post_flow_mod(SwitchId id, const of::FlowMod& fm, Completion done);
 
   /// Queue many flow_mods in one batched wire burst (see
   /// ControlChannel::send_batch); `done_each` fires once per command, in
@@ -271,9 +267,8 @@ class Network {
   std::uint64_t wall_ns_ = 0;
   int wall_depth_ = 0;  ///< open event-loop stretches; the outermost is timed
 
-  // Dispatch tables keyed by xid. Flow-mod completions are stored in the
-  // detailed form; plain Completion callers are wrapped on entry.
-  std::unordered_map<std::uint32_t, CompletionEx> flow_mod_cbs_;
+  // Dispatch tables keyed by xid.
+  std::unordered_map<std::uint32_t, Completion> flow_mod_cbs_;
   std::unordered_map<std::uint32_t, std::function<void(const switchsim::ForwardOutcome&)>>
       probe_cbs_;
   std::unordered_map<std::uint32_t, std::function<void(const of::Message&)>> reply_cbs_;

@@ -1,6 +1,6 @@
-// OpenFlow 1.0 actions (subset). Each struct mirrors the wire layout of the
-// corresponding ofp_action_*; Action is the sum type carried in flow_mod and
-// packet_out messages.
+// OpenFlow 1.0 actions (subset). Each struct holds the fields of the
+// corresponding ofp_action_* and declares its wire tag (kType); Action is the
+// sum type carried in flow_mod and packet_out messages.
 #pragma once
 
 #include <cstdint>
@@ -14,36 +14,43 @@
 namespace tango::of {
 
 struct ActionOutput {
+  static constexpr ActionType kType = ActionType::kOutput;
   std::uint16_t port = 0;
   std::uint16_t max_len = 0xffff;  // bytes to send to controller when port==CONTROLLER
   bool operator==(const ActionOutput&) const = default;
 };
 
 struct ActionSetVlanVid {
+  static constexpr ActionType kType = ActionType::kSetVlanVid;
   std::uint16_t vlan_vid = 0;
   bool operator==(const ActionSetVlanVid&) const = default;
 };
 
 struct ActionStripVlan {
+  static constexpr ActionType kType = ActionType::kStripVlan;
   bool operator==(const ActionStripVlan&) const = default;
 };
 
 struct ActionSetDlSrc {
+  static constexpr ActionType kType = ActionType::kSetDlSrc;
   MacAddr addr{};
   bool operator==(const ActionSetDlSrc&) const = default;
 };
 
 struct ActionSetDlDst {
+  static constexpr ActionType kType = ActionType::kSetDlDst;
   MacAddr addr{};
   bool operator==(const ActionSetDlDst&) const = default;
 };
 
 struct ActionSetNwSrc {
+  static constexpr ActionType kType = ActionType::kSetNwSrc;
   std::uint32_t addr = 0;
   bool operator==(const ActionSetNwSrc&) const = default;
 };
 
 struct ActionSetNwDst {
+  static constexpr ActionType kType = ActionType::kSetNwDst;
   std::uint32_t addr = 0;
   bool operator==(const ActionSetNwDst&) const = default;
 };

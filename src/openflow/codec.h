@@ -1,5 +1,11 @@
 // OpenFlow 1.0 binary codec: Message <-> network-byte-order wire frames.
 //
+// Each structure's wire layout is written once, as a field walk in
+// codec.cpp (wire.h describes the walk and its three archives); encode,
+// wire_size and decode all derive from it, so wire_size(msg) ==
+// encode(msg).size() holds by construction. Each message body declares its
+// (MsgType, StatsType) tag once (messages.h) and decode picks the body by it.
+//
 // encode() always produces a frame whose length field equals the byte count
 // (and throws std::length_error for a message too large for that field);
 // decode() validates version, length, and bounds and returns an error string
@@ -44,8 +50,7 @@ Result<Match> decode_match_bytes(std::span<const std::uint8_t> bytes);
 std::size_t wire_size(const Action& action);
 
 /// Serialized length of a whole message, computed without encoding (no
-/// allocation). Always equals encode(msg).size(); the codec test asserts
-/// this for every message type.
+/// allocation). Equals encode(msg).size(): both run the same field walk.
 std::size_t wire_size(const Message& msg);
 
 /// Accumulates stream bytes and yields complete frames.

@@ -23,6 +23,8 @@
 #include <optional>
 #include <vector>
 
+#include "openflow/wire.h"
+
 namespace tango::of {
 
 inline constexpr int kCookieEpochShift = 56;
@@ -76,29 +78,21 @@ struct EpochClaimPayload {
   std::uint32_t flags = 0;
 };
 
+template <class Io>
+void walk(Io& io, wire::Like<EpochClaimPayload> auto& p) {
+  io(p.subtype, p.epoch, p.flags);
+}
+
 [[nodiscard]] inline std::vector<std::uint8_t> encode_epoch_payload(
     std::uint32_t subtype, std::uint32_t epoch, std::uint32_t flags = 0) {
-  std::vector<std::uint8_t> out;
-  out.reserve(12);
-  for (std::uint32_t word : {subtype, epoch, flags}) {
-    out.push_back(static_cast<std::uint8_t>(word >> 24));
-    out.push_back(static_cast<std::uint8_t>(word >> 16));
-    out.push_back(static_cast<std::uint8_t>(word >> 8));
-    out.push_back(static_cast<std::uint8_t>(word));
-  }
-  return out;
+  return wire::to_bytes(EpochClaimPayload{subtype, epoch, flags});
 }
 
 [[nodiscard]] inline std::optional<EpochClaimPayload> decode_epoch_payload(
     const std::vector<std::uint8_t>& data) {
-  if (data.size() < 12) return std::nullopt;
-  const auto word = [&](std::size_t at) {
-    return (static_cast<std::uint32_t>(data[at]) << 24) |
-           (static_cast<std::uint32_t>(data[at + 1]) << 16) |
-           (static_cast<std::uint32_t>(data[at + 2]) << 8) |
-           static_cast<std::uint32_t>(data[at + 3]);
-  };
-  return EpochClaimPayload{word(0), word(4), word(8)};
+  EpochClaimPayload p;
+  if (!wire::read(data, p)) return std::nullopt;
+  return p;
 }
 
 }  // namespace tango::of

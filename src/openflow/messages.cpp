@@ -2,42 +2,9 @@
 
 namespace tango::of {
 
-namespace {
-
-struct TypeVisitor {
-  MsgType operator()(const Hello&) const { return MsgType::kHello; }
-  MsgType operator()(const EchoRequest&) const { return MsgType::kEchoRequest; }
-  MsgType operator()(const EchoReply&) const { return MsgType::kEchoReply; }
-  MsgType operator()(const ErrorMsg&) const { return MsgType::kError; }
-  MsgType operator()(const FeaturesRequest&) const { return MsgType::kFeaturesRequest; }
-  MsgType operator()(const FeaturesReply&) const { return MsgType::kFeaturesReply; }
-  MsgType operator()(const FlowMod&) const { return MsgType::kFlowMod; }
-  MsgType operator()(const FlowRemoved&) const { return MsgType::kFlowRemoved; }
-  MsgType operator()(const PacketIn&) const { return MsgType::kPacketIn; }
-  MsgType operator()(const PacketOut&) const { return MsgType::kPacketOut; }
-  MsgType operator()(const BarrierRequest&) const { return MsgType::kBarrierRequest; }
-  MsgType operator()(const BarrierReply&) const { return MsgType::kBarrierReply; }
-  MsgType operator()(const FlowStatsRequest&) const { return MsgType::kStatsRequest; }
-  MsgType operator()(const FlowStatsReply&) const { return MsgType::kStatsReply; }
-  MsgType operator()(const TableStatsRequest&) const { return MsgType::kStatsRequest; }
-  MsgType operator()(const TableStatsReply&) const { return MsgType::kStatsReply; }
-  MsgType operator()(const GetConfigRequest&) const { return MsgType::kGetConfigRequest; }
-  MsgType operator()(const GetConfigReply&) const { return MsgType::kGetConfigReply; }
-  MsgType operator()(const SetConfig&) const { return MsgType::kSetConfig; }
-  MsgType operator()(const PortStatus&) const { return MsgType::kPortStatus; }
-  MsgType operator()(const PortMod&) const { return MsgType::kPortMod; }
-  MsgType operator()(const Vendor&) const { return MsgType::kVendor; }
-  MsgType operator()(const AggregateStatsRequest&) const { return MsgType::kStatsRequest; }
-  MsgType operator()(const AggregateStatsReply&) const { return MsgType::kStatsReply; }
-  MsgType operator()(const DescStatsRequest&) const { return MsgType::kStatsRequest; }
-  MsgType operator()(const DescStatsReply&) const { return MsgType::kStatsReply; }
-  MsgType operator()(const PortStatsRequest&) const { return MsgType::kStatsRequest; }
-  MsgType operator()(const PortStatsReply&) const { return MsgType::kStatsReply; }
-};
-
-}  // namespace
-
-MsgType type_of(const MessageBody& body) { return std::visit(TypeVisitor{}, body); }
+MsgType type_of(const MessageBody& body) {
+  return std::visit([](const auto& b) { return b.kType; }, body);
+}
 
 std::string type_name(MsgType type) {
   switch (type) {

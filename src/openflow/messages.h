@@ -1,7 +1,9 @@
 // OpenFlow 1.0 message structures (subset used by Tango).
 //
-// A Message is a transaction id plus one of the typed bodies below. The
-// codec (codec.h) maps these to/from the OF1.0 wire format.
+// A Message is a transaction id plus one of the typed bodies below. Each
+// body declares its wire tag once: kType (ofp_header.type) and, for stats
+// messages, kStats (ofp_stats_request/reply.type). The codec (codec.h)
+// maps these to/from the OF1.0 wire format and picks a body by its tag.
 #pragma once
 
 #include <cstdint>
@@ -16,20 +18,24 @@
 namespace tango::of {
 
 struct Hello {
+  static constexpr MsgType kType = MsgType::kHello;
   bool operator==(const Hello&) const = default;
 };
 
 struct EchoRequest {
+  static constexpr MsgType kType = MsgType::kEchoRequest;
   std::vector<std::uint8_t> payload;
   bool operator==(const EchoRequest&) const = default;
 };
 
 struct EchoReply {
+  static constexpr MsgType kType = MsgType::kEchoReply;
   std::vector<std::uint8_t> payload;
   bool operator==(const EchoReply&) const = default;
 };
 
 struct ErrorMsg {
+  static constexpr MsgType kType = MsgType::kError;
   ErrorType type = ErrorType::kBadRequest;
   std::uint16_t code = 0;
   std::vector<std::uint8_t> data;  // first bytes of the offending message
@@ -37,6 +43,7 @@ struct ErrorMsg {
 };
 
 struct FeaturesRequest {
+  static constexpr MsgType kType = MsgType::kFeaturesRequest;
   bool operator==(const FeaturesRequest&) const = default;
 };
 
@@ -54,6 +61,7 @@ struct PhyPort {
 };
 
 struct FeaturesReply {
+  static constexpr MsgType kType = MsgType::kFeaturesReply;
   std::uint64_t datapath_id = 0;
   std::uint32_t n_buffers = 0;
   std::uint8_t n_tables = 0;
@@ -64,6 +72,7 @@ struct FeaturesReply {
 };
 
 struct FlowMod {
+  static constexpr MsgType kType = MsgType::kFlowMod;
   Match match;
   std::uint64_t cookie = 0;
   FlowModCommand command = FlowModCommand::kAdd;
@@ -78,6 +87,7 @@ struct FlowMod {
 };
 
 struct FlowRemoved {
+  static constexpr MsgType kType = MsgType::kFlowRemoved;
   Match match;
   std::uint64_t cookie = 0;
   std::uint16_t priority = 0;
@@ -91,6 +101,7 @@ struct FlowRemoved {
 };
 
 struct PacketIn {
+  static constexpr MsgType kType = MsgType::kPacketIn;
   std::uint32_t buffer_id = kNoBuffer;
   std::uint16_t total_len = 0;
   std::uint16_t in_port = 0;
@@ -100,6 +111,7 @@ struct PacketIn {
 };
 
 struct PacketOut {
+  static constexpr MsgType kType = MsgType::kPacketOut;
   std::uint32_t buffer_id = kNoBuffer;
   std::uint16_t in_port = kPortNone;
   ActionList actions;
@@ -108,14 +120,18 @@ struct PacketOut {
 };
 
 struct BarrierRequest {
+  static constexpr MsgType kType = MsgType::kBarrierRequest;
   bool operator==(const BarrierRequest&) const = default;
 };
 
 struct BarrierReply {
+  static constexpr MsgType kType = MsgType::kBarrierReply;
   bool operator==(const BarrierReply&) const = default;
 };
 
 struct FlowStatsRequest {
+  static constexpr MsgType kType = MsgType::kStatsRequest;
+  static constexpr StatsType kStats = StatsType::kFlow;
   Match match;            // filter
   std::uint8_t table_id = 0xff;  // all tables
   std::uint16_t out_port = kPortNone;
@@ -138,6 +154,8 @@ struct FlowStatsEntry {
 };
 
 struct FlowStatsReply {
+  static constexpr MsgType kType = MsgType::kStatsReply;
+  static constexpr StatsType kStats = StatsType::kFlow;
   std::vector<FlowStatsEntry> entries;
   /// kStatsReplyMore on every part of a multi-part reply but the last.
   std::uint16_t flags = 0;
@@ -145,6 +163,8 @@ struct FlowStatsReply {
 };
 
 struct TableStatsRequest {
+  static constexpr MsgType kType = MsgType::kStatsRequest;
+  static constexpr StatsType kStats = StatsType::kTable;
   bool operator==(const TableStatsRequest&) const = default;
 };
 
@@ -160,21 +180,26 @@ struct TableStatsEntry {
 };
 
 struct TableStatsReply {
+  static constexpr MsgType kType = MsgType::kStatsReply;
+  static constexpr StatsType kStats = StatsType::kTable;
   std::vector<TableStatsEntry> entries;
   bool operator==(const TableStatsReply&) const = default;
 };
 
 struct GetConfigRequest {
+  static constexpr MsgType kType = MsgType::kGetConfigRequest;
   bool operator==(const GetConfigRequest&) const = default;
 };
 
 struct GetConfigReply {
+  static constexpr MsgType kType = MsgType::kGetConfigReply;
   std::uint16_t flags = 0;
   std::uint16_t miss_send_len = 128;
   bool operator==(const GetConfigReply&) const = default;
 };
 
 struct SetConfig {
+  static constexpr MsgType kType = MsgType::kSetConfig;
   std::uint16_t flags = 0;
   std::uint16_t miss_send_len = 128;
   bool operator==(const SetConfig&) const = default;
@@ -183,6 +208,7 @@ struct SetConfig {
 enum class PortReason : std::uint8_t { kAdd = 0, kDelete = 1, kModify = 2 };
 
 struct PortStatus {
+  static constexpr MsgType kType = MsgType::kPortStatus;
   PortReason reason = PortReason::kModify;
   PhyPort port;
   bool operator==(const PortStatus&) const = default;
@@ -195,6 +221,7 @@ inline constexpr std::uint32_t kPortConfigNoFlood = 1u << 4;
 inline constexpr std::uint32_t kPortStateLinkDown = 1u << 0;
 
 struct PortMod {
+  static constexpr MsgType kType = MsgType::kPortMod;
   std::uint16_t port_no = 0;
   MacAddr hw_addr{};
   std::uint32_t config = 0;
@@ -204,12 +231,15 @@ struct PortMod {
 };
 
 struct Vendor {
+  static constexpr MsgType kType = MsgType::kVendor;
   std::uint32_t vendor_id = 0;
   std::vector<std::uint8_t> data;
   bool operator==(const Vendor&) const = default;
 };
 
 struct AggregateStatsRequest {
+  static constexpr MsgType kType = MsgType::kStatsRequest;
+  static constexpr StatsType kStats = StatsType::kAggregate;
   Match match;
   std::uint8_t table_id = 0xff;
   std::uint16_t out_port = kPortNone;
@@ -217,6 +247,8 @@ struct AggregateStatsRequest {
 };
 
 struct AggregateStatsReply {
+  static constexpr MsgType kType = MsgType::kStatsReply;
+  static constexpr StatsType kStats = StatsType::kAggregate;
   std::uint64_t packet_count = 0;
   std::uint64_t byte_count = 0;
   std::uint32_t flow_count = 0;
@@ -224,10 +256,14 @@ struct AggregateStatsReply {
 };
 
 struct DescStatsRequest {
+  static constexpr MsgType kType = MsgType::kStatsRequest;
+  static constexpr StatsType kStats = StatsType::kDesc;
   bool operator==(const DescStatsRequest&) const = default;
 };
 
 struct DescStatsReply {
+  static constexpr MsgType kType = MsgType::kStatsReply;
+  static constexpr StatsType kStats = StatsType::kDesc;
   std::string mfr_desc;     // up to 255 chars on the wire
   std::string hw_desc;      // up to 255
   std::string sw_desc;      // up to 255
@@ -237,6 +273,8 @@ struct DescStatsReply {
 };
 
 struct PortStatsRequest {
+  static constexpr MsgType kType = MsgType::kStatsRequest;
+  static constexpr StatsType kStats = StatsType::kPort;
   std::uint16_t port_no = kPortNone;  // kPortNone = all ports
   bool operator==(const PortStatsRequest&) const = default;
 };
@@ -255,6 +293,8 @@ struct PortStatsEntry {
 };
 
 struct PortStatsReply {
+  static constexpr MsgType kType = MsgType::kStatsReply;
+  static constexpr StatsType kStats = StatsType::kPort;
   std::vector<PortStatsEntry> entries;
   bool operator==(const PortStatsReply&) const = default;
 };

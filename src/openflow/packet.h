@@ -12,6 +12,7 @@
 
 #include "common/result.h"
 #include "openflow/match.h"
+#include "openflow/wire.h"
 
 namespace tango::of {
 
@@ -25,11 +26,22 @@ struct Packet {
     return kWireHeaderLen + payload_len;
   }
 
-  /// Serialized header size (fixed-width field dump).
-  static constexpr std::size_t kWireHeaderLen = 2 + 6 + 6 + 2 + 1 + 2 + 1 + 1 + 4 + 4 + 2 + 2 + 4;
+  /// Serialized header size: the bytes the walk below covers.
+  static const std::size_t kWireHeaderLen;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   static Result<Packet> decode(std::span<const std::uint8_t> bytes);
 };
+
+// The wire form: a fixed-width dump of the header fields, then payload_len.
+template <class Io>
+constexpr void walk(Io& io, wire::Like<Packet> auto& p) {
+  auto& h = p.header;
+  io(h.in_port, h.dl_src, h.dl_dst, h.dl_vlan, h.dl_vlan_pcp, h.dl_type);
+  io(h.nw_tos, h.nw_proto, h.nw_src, h.nw_dst, h.tp_src, h.tp_dst);
+  io(p.payload_len);
+}
+
+inline constexpr std::size_t Packet::kWireHeaderLen = wire::size_of(Packet{});
 
 }  // namespace tango::of

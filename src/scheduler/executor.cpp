@@ -254,10 +254,10 @@ struct ExecState : std::enable_shared_from_this<ExecState> {
       obs_busy[id] = network.channel(req.location).agent_busy_until();
       obs_solo[id] = in_flight[req.location] == 1 ? 1 : 0;
     }
-    network.post_flow_mod_ex(req.location, to_flow_mod(req),
-                             [self, id](const net::Network::FlowModResult& res) {
-                               self->complete(id, res);
-                             });
+    network.post_flow_mod(req.location, to_flow_mod(req),
+                          [self, id](const net::Network::FlowModResult& res) {
+                            self->complete(id, res);
+                          });
     if (retry_enabled()) {
       network.events().schedule_after(
           options.request_timeout,

@@ -109,8 +109,6 @@ struct ExecutionReport {
   std::size_t rejected_fatal = 0;
   std::size_t scheduling_rounds = 0;
   std::size_t deadline_misses = 0;
-  /// Busy time charged per switch (diagnostics).
-  std::map<SwitchId, SimDuration> per_switch_busy;
 
   // --- queueing delay -------------------------------------------------------
   // Time each issued request spent between becoming ready (dependency-free,

@@ -124,7 +124,9 @@ TEST(NetworkTest, CommandsProcessSequentially) {
   std::vector<SimTime> completions;
   for (std::uint32_t i = 0; i < 5; ++i) {
     net.post_flow_mod(sw, ProbeEngine::probe_add(i, 0x8000),
-                      [&](bool, SimTime at) { completions.push_back(at); });
+                      [&](const Network::FlowModResult& res) {
+                        completions.push_back(res.completed_at);
+                      });
   }
   net.run_all();
   ASSERT_EQ(completions.size(), 5u);
@@ -141,7 +143,7 @@ TEST(NetworkTest, BarrierWaitsForQueuedCommands) {
   Network net;
   const auto sw = net.add_switch(switch1());
   for (std::uint32_t i = 0; i < 20; ++i) {
-    net.post_flow_mod(sw, ProbeEngine::probe_add(i), [](bool, SimTime) {});
+    net.post_flow_mod(sw, ProbeEngine::probe_add(i), [](const Network::FlowModResult&) {});
   }
   const auto barrier_at = net.barrier_sync(sw);
   EXPECT_GE(barrier_at, net.channel(sw).agent_busy_until());
@@ -188,7 +190,7 @@ TEST(NetworkTest, FlowStatsReadbackJoinsMultiPartReplies) {
     if (injector) net.enable_faults(sw, FaultConfig{});
     for (std::uint32_t i = 0; i < 2000; ++i) {
       net.post_flow_mod(sw, ProbeEngine::probe_add(i, static_cast<std::uint16_t>(i)),
-                        [](bool, SimTime) {});
+                        [](const Network::FlowModResult&) {});
     }
     net.run_all();
     const auto truth = net.sw(sw).flow_stats(of::Match::any());
@@ -265,8 +267,8 @@ TEST(NetworkTest, ParallelSwitchesOverlapInTime) {
   const auto a = net.add_switch(profile);
   const auto b = net.add_switch(profile);
   for (std::uint32_t i = 0; i < 50; ++i) {
-    net.post_flow_mod(a, ProbeEngine::probe_add(i), [](bool, SimTime) {});
-    net.post_flow_mod(b, ProbeEngine::probe_add(i), [](bool, SimTime) {});
+    net.post_flow_mod(a, ProbeEngine::probe_add(i), [](const Network::FlowModResult&) {});
+    net.post_flow_mod(b, ProbeEngine::probe_add(i), [](const Network::FlowModResult&) {});
   }
   const auto t0 = net.now();
   net.run_all();

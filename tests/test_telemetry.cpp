@@ -559,8 +559,8 @@ TEST(BitIdentityAcceptance, BatchedFlowModsMatchSequentialSends) {
       fm.actions = of::output_to(2);
       fms.push_back(fm);
     }
-    const auto done = [&out](bool accepted, SimTime at) {
-      out.completions.emplace_back(accepted, at.ns());
+    const auto done = [&out](const net::Network::FlowModResult& res) {
+      out.completions.emplace_back(res.accepted, res.completed_at.ns());
     };
     if (batched) {
       net.post_flow_mod_batch(id, fms, done);
